@@ -41,12 +41,9 @@ pub enum Command {
         /// to `CHROMATA_CACHE_DIR`).
         cache_dir: Option<PathBuf>,
     },
-    /// `chromata batch [--act-fallback N] [--cache-dir DIR]
-    /// [--shards A,B,C] [--digests] [task...]` — analyze many tasks through the
-    /// shared artifact store (whole library if no tasks are named), one
-    /// verdict line per task. With `--shards`, stage execution fans out
-    /// across the named `chromata worker` processes (degrading to local
-    /// recompute on any fault; verdicts and digests are unchanged).
+    /// `chromata batch [--act-fallback N] [--cache-dir DIR] [--digests]
+    /// [task...]` — analyze many tasks through the shared artifact store
+    /// (whole library if no tasks are named), one verdict line per task.
     Batch {
         /// Registry names or paths (empty = the whole library).
         tasks: Vec<String>,
@@ -55,11 +52,7 @@ pub enum Command {
         /// Durable stage-cache directory (`--cache-dir`, falling back
         /// to `CHROMATA_CACHE_DIR`).
         cache_dir: Option<PathBuf>,
-        /// Worker shard addresses (`--shards`, comma-separated; empty =
-        /// purely local execution).
-        shards: Vec<String>,
-        /// Print each task's 16-hex evidence digest (`--digests`) —
-        /// the chaos CI greps these against single-machine goldens.
+        /// Print each task's 16-hex evidence digest (`--digests`).
         digests: bool,
     },
     /// `chromata act <task> [--rounds N]`
@@ -133,39 +126,6 @@ pub enum Command {
         persist_secs: u64,
         /// Per-connection idle read timeout in seconds.
         idle_secs: u64,
-        /// Worker shard addresses (`--shards`, comma-separated): the
-        /// server dispatches stage execution across them, degrading to
-        /// local recompute on any fault.
-        shards: Vec<String>,
-        /// Hedge a straggling stage dispatch against a second shard
-        /// after this many milliseconds (`--hedge-ms`; off if absent).
-        hedge_ms: Option<u64>,
-    },
-    /// `chromata worker [--addr A] [--threads N] [--admission N]
-    /// [--queue N] [--max-payload N] [--cache-dir DIR]
-    /// [--persist-secs N] [--idle-secs N]` — a stage-execution shard:
-    /// the same wire protocol and admission control as `serve`, booted
-    /// to answer `op: "stage"` requests from a sharded server or batch.
-    /// Workers never re-dispatch remotely, so a worker pool cannot
-    /// recurse.
-    Worker {
-        /// Bind address (port 0 = OS-assigned; printed on boot).
-        addr: String,
-        /// Worker threads (0 = available parallelism).
-        threads: usize,
-        /// Concurrent-analysis permits (default: one per worker).
-        admission: Option<usize>,
-        /// Pending-connection queue bound (default: 4 × workers).
-        queue: Option<usize>,
-        /// Per-request payload bound in bytes.
-        max_payload: usize,
-        /// Durable stage-cache directory (`--cache-dir`, falling back
-        /// to `CHROMATA_CACHE_DIR`).
-        cache_dir: Option<PathBuf>,
-        /// Background persistence cadence in seconds (0 = off).
-        persist_secs: u64,
-        /// Per-connection idle read timeout in seconds.
-        idle_secs: u64,
     },
     /// `chromata request [--addr A] [--op OP] [--act-fallback N]
     /// [--budget-ms N] [--max-states N] [--retry N] [--json] [task]` —
@@ -219,10 +179,9 @@ pub enum Command {
         act_fallback: usize,
     },
     /// `chromata chaos [--seed N] [--rounds K] [--faults LIST]
-    /// [--shards N] [--cache-dir DIR]` — the randomized end-to-end
-    /// fault campaign: replay a seeded mutation-fuzzed task stream
-    /// through a live serve + in-process shard pool while a seeded
-    /// schedule injects persist/shard/net/signal faults, asserting
+    /// [--cache-dir DIR]` — the randomized end-to-end fault campaign:
+    /// replay a seeded mutation-fuzzed task stream through a live serve
+    /// while a seeded schedule injects persist/net/signal faults, asserting
     /// verdict and digest parity against a clean oracle run after every
     /// round (see `crate::chaos`).
     Chaos {
@@ -230,10 +189,8 @@ pub enum Command {
         seed: u64,
         /// Campaign rounds (one mutant per round).
         rounds: usize,
-        /// Enabled fault families (`--faults persist,shard,net,signal`).
+        /// Enabled fault families (`--faults persist,net,signal`).
         faults: Vec<chromata::FaultKind>,
-        /// In-process shard pool size.
-        shards: usize,
         /// Cache directory (a fresh temp directory when absent).
         cache_dir: Option<PathBuf>,
     },
@@ -332,7 +289,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let mut tasks = Vec::new();
             let mut act_fallback = 0usize;
             let mut cache_dir = None;
-            let mut shards = Vec::new();
             let mut digests = false;
             while let Some(arg) = it.next() {
                 match arg.as_str() {
@@ -346,12 +302,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                             "--cache-dir needs a path",
                         )?));
                     }
-                    "--shards" => {
-                        shards = parse_shard_list(&required(
-                            &mut it,
-                            "--shards needs a comma-separated address list",
-                        )?)?;
-                    }
                     flag if flag.starts_with('-') => {
                         return Err(CliError(format!("unknown flag {flag}")));
                     }
@@ -362,7 +312,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 tasks,
                 act_fallback,
                 cache_dir,
-                shards,
                 digests,
             })
         }
@@ -451,8 +400,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let mut cache_dir = None;
             let mut persist_secs = 30u64;
             let mut idle_secs = 30u64;
-            let mut shards = Vec::new();
-            let mut hedge_ms = None;
             while let Some(flag) = it.next() {
                 match flag.as_str() {
                     "--addr" => addr = required(&mut it, "--addr needs HOST:PORT")?,
@@ -473,13 +420,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                         persist_secs = parse_number_u64(&mut it, "--persist-secs")?;
                     }
                     "--idle-secs" => idle_secs = parse_number_u64(&mut it, "--idle-secs")?,
-                    "--shards" => {
-                        shards = parse_shard_list(&required(
-                            &mut it,
-                            "--shards needs a comma-separated address list",
-                        )?)?;
-                    }
-                    "--hedge-ms" => hedge_ms = Some(parse_number_u64(&mut it, "--hedge-ms")?),
                     other => return Err(CliError(format!("unknown flag {other}"))),
                 }
             }
@@ -490,48 +430,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 queue,
                 max_payload,
                 budget_ms,
-                cache_dir,
-                persist_secs,
-                idle_secs,
-                shards,
-                hedge_ms,
-            })
-        }
-        "worker" => {
-            let mut addr = "127.0.0.1:7438".to_owned();
-            let mut threads = 0usize;
-            let mut admission = None;
-            let mut queue = None;
-            let mut max_payload = crate::wire::DEFAULT_MAX_PAYLOAD;
-            let mut cache_dir = None;
-            let mut persist_secs = 30u64;
-            let mut idle_secs = 30u64;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--addr" => addr = required(&mut it, "--addr needs HOST:PORT")?,
-                    "--threads" => threads = parse_number(&mut it, "--threads")?,
-                    "--admission" => admission = Some(parse_number(&mut it, "--admission")?),
-                    "--queue" => queue = Some(parse_number(&mut it, "--queue")?),
-                    "--max-payload" => max_payload = parse_number(&mut it, "--max-payload")?,
-                    "--cache-dir" => {
-                        cache_dir = Some(PathBuf::from(required(
-                            &mut it,
-                            "--cache-dir needs a path",
-                        )?));
-                    }
-                    "--persist-secs" => {
-                        persist_secs = parse_number_u64(&mut it, "--persist-secs")?;
-                    }
-                    "--idle-secs" => idle_secs = parse_number_u64(&mut it, "--idle-secs")?,
-                    other => return Err(CliError(format!("unknown flag {other}"))),
-                }
-            }
-            Ok(Command::Worker {
-                addr,
-                threads,
-                admission,
-                queue,
-                max_payload,
                 cache_dir,
                 persist_secs,
                 idle_secs,
@@ -652,7 +550,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let mut seed = 1u64;
             let mut rounds = 20usize;
             let mut faults = chromata::ALL_FAULT_KINDS.to_vec();
-            let mut shards = 3usize;
             let mut cache_dir = None;
             while let Some(flag) = it.next() {
                 match flag.as_str() {
@@ -661,11 +558,10 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     "--faults" => {
                         let spec = required(
                             &mut it,
-                            "--faults needs a comma-separated list (persist,shard,net,signal)",
+                            "--faults needs a comma-separated list (persist,net,signal)",
                         )?;
                         faults = chromata::parse_fault_kinds(&spec).map_err(CliError)?;
                     }
-                    "--shards" => shards = parse_number(&mut it, "--shards")?,
                     "--cache-dir" => {
                         cache_dir = Some(PathBuf::from(required(
                             &mut it,
@@ -682,7 +578,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 seed,
                 rounds,
                 faults,
-                shards,
                 cache_dir,
             })
         }
@@ -710,22 +605,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             "unknown command {other}; try `chromata help`"
         ))),
     }
-}
-
-/// Splits a `--shards` value into its non-empty `host:port` entries.
-fn parse_shard_list(value: &str) -> Result<Vec<String>, CliError> {
-    let shards: Vec<String> = value
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(str::to_owned)
-        .collect();
-    if shards.is_empty() {
-        return Err(CliError(
-            "--shards needs at least one HOST:PORT address".to_owned(),
-        ));
-    }
-    Ok(shards)
 }
 
 /// Builds an ordered JSON object from string keys (the vendored
@@ -940,7 +819,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                             ("detail", Value::String(s.detail.clone())),
                             ("work", Value::UInt(s.work)),
                             ("cache", Value::String(s.cache.label().to_owned())),
-                            ("origin", Value::String(s.origin.label())),
                             ("reused", Value::Bool(s.reused)),
                             ("subkeys", Value::UInt(s.subkeys as u64)),
                             ("wall_ms", Value::Float(s.wall.as_secs_f64() * 1e3)),
@@ -1010,7 +888,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             tasks,
             act_fallback,
             cache_dir,
-            shards,
             digests,
         } => {
             let specs: Vec<String> = if tasks.is_empty() {
@@ -1025,9 +902,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 .iter()
                 .map(|s| load_task(s))
                 .collect::<Result<_, _>>()?;
-            if !shards.is_empty() {
-                crate::shard::configure_shards(&shards, chromata::RemotePolicy::default())?;
-            }
             let cache_config = CacheDirConfig::resolve(cache_dir);
             let (analyses, persistence) = analyze_batch_persistent(
                 &loaded,
@@ -1054,14 +928,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                         spec, a.evidence.decided_by, a.verdict
                     );
                 }
-            }
-            if let Some(stats) = chromata::remote_stats() {
-                let _ = writeln!(
-                    out,
-                    "shards: {} dispatched, {} fetched, {} retried, {} hedged, {} local fallback(s)",
-                    stats.dispatched, stats.fetched, stats.retries, stats.hedges, stats.local_fallbacks
-                );
-                chromata::clear_remote();
             }
             cache_report_lines(&mut out, &cache_config, &persistence);
             Ok(out)
@@ -1168,13 +1034,11 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             seed,
             rounds,
             faults,
-            shards,
             cache_dir,
         } => crate::chaos::run_campaign(&crate::chaos::ChaosOptions {
             seed,
             rounds,
             kinds: faults,
-            shards,
             cache_dir,
         }),
         Command::Act { task, rounds } => {
@@ -1346,17 +1210,8 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             cache_dir,
             persist_secs,
             idle_secs,
-            shards,
-            hedge_ms,
         } => {
             use std::io::Write as _;
-            if !shards.is_empty() {
-                let policy = chromata::RemotePolicy {
-                    hedge_after_ms: hedge_ms,
-                    ..chromata::RemotePolicy::default()
-                };
-                crate::shard::configure_shards(&shards, policy)?;
-            }
             // SIGTERM/SIGINT must be masked before the server spawns
             // its threads so they inherit the mask and delivery funnels
             // to the dedicated watcher below.
@@ -1385,66 +1240,9 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             if watch.is_some() {
                 println!("serve: SIGTERM/SIGINT trigger graceful shutdown with persistence");
             }
-            if !shards.is_empty() {
-                println!("serve: dispatching stages across {} shard(s)", shards.len());
-            }
             if let Some(loaded) = server.loaded() {
                 println!(
                     "serve: warm-started {} artifact(s) ({} rejected, {} torn, {} corrupt)",
-                    loaded.restored,
-                    loaded.rejected_snapshots,
-                    loaded.torn_entries,
-                    loaded.corrupt_entries
-                );
-            }
-            let _ = std::io::stdout().flush();
-            let summary = server.wait();
-            if let Some(watch) = watch {
-                watch.stop();
-            }
-            Ok(format!("{summary}\n"))
-        }
-        Command::Worker {
-            addr,
-            threads,
-            admission,
-            queue,
-            max_payload,
-            cache_dir,
-            persist_secs,
-            idle_secs,
-        } => {
-            use std::io::Write as _;
-            // A worker is a serve that never re-dispatches remotely:
-            // stage requests run against the local store only, so a
-            // pool of workers cannot recurse through each other.
-            chromata::clear_remote();
-            let signals_masked = chromata_signal::block_termination();
-            let server = crate::serve::Server::start(crate::serve::ServeOptions {
-                addr,
-                threads,
-                analysis_slots: admission,
-                queue,
-                max_payload,
-                budget_ms: None,
-                max_states: usize::MAX,
-                cache_dir,
-                persist_secs,
-                idle_timeout_secs: idle_secs,
-            })?;
-            let watch = if signals_masked {
-                let handle = server.shutdown_handle();
-                chromata_signal::watch_termination(move |_sig| handle.request())
-            } else {
-                None
-            };
-            println!("worker: listening on {}", server.local_addr());
-            if watch.is_some() {
-                println!("worker: SIGTERM/SIGINT trigger graceful shutdown with persistence");
-            }
-            if let Some(loaded) = server.loaded() {
-                println!(
-                    "worker: warm-started {} artifact(s) ({} rejected, {} torn, {} corrupt)",
                     loaded.restored,
                     loaded.rejected_snapshots,
                     loaded.torn_entries,
@@ -1629,11 +1427,9 @@ COMMANDS:
                                  verdict plus its evidence chain: deciding
                                  stage, per-stage work/wall-clock counters,
                                  and stage-cache statistics
-    batch [--act-fallback N] [--cache-dir DIR] [--shards A,B,C] [--digests] [task...]
+    batch [--act-fallback N] [--cache-dir DIR] [--digests] [task...]
                                  analyze many tasks (whole library if none
-                                 named) through the shared artifact store;
-                                 --shards fans stage execution across worker
-                                 processes (verdicts and digests unchanged)
+                                 named) through the shared artifact store
     inspect <task>               complex statistics, homology, LAP counts
     act <task> [--rounds N]      run the Herlihy–Shavit ACT baseline
     export <task> [-o FILE]      dump a library task as JSON
@@ -1646,18 +1442,10 @@ COMMANDS:
                                  structured UNKNOWN with a replayable trace
     serve [--addr A] [--threads N] [--admission N] [--queue N] [--max-payload N]
           [--budget-ms N] [--cache-dir DIR] [--persist-secs N] [--idle-secs N]
-          [--shards A,B,C] [--hedge-ms N]
                                  long-lived verdict daemon: newline-delimited
                                  JSON over TCP against one shared warm artifact
                                  store; overload degrades to UNKNOWN with a
-                                 retry hint, never a dropped connection;
-                                 --shards dispatches stage execution to worker
-                                 processes with retry/hedge/local-fallback
-    worker [--addr A] [--threads N] [--admission N] [--queue N] [--max-payload N]
-           [--cache-dir DIR] [--persist-secs N] [--idle-secs N]
-                                 a stage-execution shard: the serve protocol
-                                 plus `op: \"stage\"`, answering artifacts with
-                                 checksums for a sharded serve or batch
+                                 retry hint, never a dropped connection
     request [--addr A] [--op OP] [--act-fallback N] [--budget-ms N]
             [--max-states N] [--retry N] [--json] [task]
                                  one-shot client for a running serve
@@ -1674,10 +1462,10 @@ COMMANDS:
                                  the shared per-branch artifact store, then
                                  report the stage-artifact reuse ratio and
                                  warm-vs-cold evidence-digest parity samples
-    chaos [--seed N] [--rounds K] [--faults LIST] [--shards N] [--cache-dir DIR]
+    chaos [--seed N] [--rounds K] [--faults LIST] [--cache-dir DIR]
                                  randomized end-to-end fault campaign: replay
                                  a seeded mutant stream through a live serve
-                                 with injected persist/shard/net/signal faults,
+                                 with injected persist/net/signal faults,
                                  asserting verdict + digest parity against a
                                  clean oracle run; nonzero exit on any breach
     lint [--deny-all] [--json] [PATH...]
@@ -1843,7 +1631,6 @@ mod tests {
                 cache_dir: None,
                 tasks: vec!["hourglass".into(), "consensus".into()],
                 act_fallback: 0,
-                shards: vec![],
                 digests: false
             }
         );
@@ -1853,7 +1640,6 @@ mod tests {
                 cache_dir: None,
                 tasks: vec![],
                 act_fallback: 0,
-                shards: vec![],
                 digests: false
             }
         );
@@ -1900,7 +1686,6 @@ mod tests {
                 seed: 1,
                 rounds: 20,
                 faults: chromata::ALL_FAULT_KINDS.to_vec(),
-                shards: 3,
                 cache_dir: None,
             }
         );
@@ -1913,8 +1698,6 @@ mod tests {
                 "50",
                 "--faults",
                 "persist,net",
-                "--shards",
-                "2",
                 "--cache-dir",
                 "/tmp/chaos",
             ]))
@@ -1923,7 +1706,6 @@ mod tests {
                 seed: 9,
                 rounds: 50,
                 faults: vec![chromata::FaultKind::Persist, chromata::FaultKind::Net],
-                shards: 2,
                 cache_dir: Some(PathBuf::from("/tmp/chaos")),
             }
         );
@@ -2059,7 +1841,6 @@ mod tests {
             cache_dir: None,
             tasks: vec!["identity".into(), "hourglass".into()],
             act_fallback: 0,
-            shards: vec![],
             digests: false,
         })
         .unwrap();
@@ -2205,8 +1986,6 @@ mod tests {
                 cache_dir: None,
                 persist_secs: 30,
                 idle_secs: 30,
-                shards: vec![],
-                hedge_ms: None,
             }
         );
         assert_eq!(
@@ -2238,67 +2017,10 @@ mod tests {
                 cache_dir: Some(PathBuf::from("/tmp/c")),
                 persist_secs: 5,
                 idle_secs: 30,
-                shards: vec![],
-                hedge_ms: None,
             }
         );
         assert!(parse(&args(&["serve", "--frobnicate"])).is_err());
-        assert_eq!(
-            parse(&args(&[
-                "serve",
-                "--shards",
-                "127.0.0.1:7438, 127.0.0.1:7439",
-                "--hedge-ms",
-                "40",
-            ]))
-            .unwrap(),
-            Command::Serve {
-                addr: "127.0.0.1:7437".into(),
-                threads: 0,
-                admission: None,
-                queue: None,
-                max_payload: crate::wire::DEFAULT_MAX_PAYLOAD,
-                budget_ms: None,
-                cache_dir: None,
-                persist_secs: 30,
-                idle_secs: 30,
-                shards: vec!["127.0.0.1:7438".into(), "127.0.0.1:7439".into()],
-                hedge_ms: Some(40),
-            }
-        );
-        assert!(parse(&args(&["serve", "--shards", " , "])).is_err());
-        assert_eq!(
-            parse(&args(&[
-                "worker",
-                "--addr",
-                "127.0.0.1:0",
-                "--threads",
-                "2"
-            ]))
-            .unwrap(),
-            Command::Worker {
-                addr: "127.0.0.1:0".into(),
-                threads: 2,
-                admission: None,
-                queue: None,
-                max_payload: crate::wire::DEFAULT_MAX_PAYLOAD,
-                cache_dir: None,
-                persist_secs: 30,
-                idle_secs: 30,
-            }
-        );
-        // A worker never re-dispatches, so it takes no --shards.
-        assert!(parse(&args(&["worker", "--shards", "127.0.0.1:1"])).is_err());
-        assert_eq!(
-            parse(&args(&["batch", "identity", "--shards", "127.0.0.1:7438"])).unwrap(),
-            Command::Batch {
-                tasks: vec!["identity".into()],
-                act_fallback: 0,
-                cache_dir: None,
-                shards: vec!["127.0.0.1:7438".into()],
-                digests: false,
-            }
-        );
+        assert!(parse(&args(&["worker", "--addr", "127.0.0.1:0"])).is_err());
         assert_eq!(
             parse(&args(&[
                 "request",
@@ -2366,7 +2088,6 @@ mod tests {
                 tasks: vec!["identity".into()],
                 act_fallback: 0,
                 cache_dir: Some(PathBuf::from("/tmp/c")),
-                shards: vec![],
                 digests: false,
             }
         );

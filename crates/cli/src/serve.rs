@@ -735,39 +735,6 @@ fn dispatch(line: &str, shared: &Shared) -> (String, bool) {
         },
         Ok(Request::Shutdown) => (wire::shutdown_response(), true),
         Ok(Request::Analyze(req)) => (handle_analyze(&req, shared), false),
-        Ok(Request::Stage(job)) => (handle_stage(&job, shared), false),
-    }
-}
-
-/// Executes one verdict-engine stage under the admission gate (worker
-/// mode). The response line — artifact plus checksum — is built by the
-/// socket-free core layer; a panic costs one response, not one worker.
-fn handle_stage(job: &chromata::StageJob, shared: &Shared) -> String {
-    let Some(_permit) = shared.gate.try_enter() else {
-        shared.overloaded.fetch_add(1, Ordering::Relaxed);
-        let hint = wire::overload_retry_hint(lock(&shared.queue).len(), shared.gate.in_flight());
-        return wire::overload_response(
-            &format!(
-                "worker overloaded: all {} analysis slot(s) in flight",
-                shared.gate.capacity()
-            ),
-            hint,
-        );
-    };
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        chromata::execute_stage_line(job)
-    }));
-    match outcome {
-        Err(_) => wire::error_response(&format!(
-            "internal: stage `{}` panicked; the worker recovered",
-            job.stage_name()
-        )),
-        Ok(Err(e)) => wire::error_response(&e),
-        Ok(Ok(line)) => {
-            shared.analyzed.fetch_add(1, Ordering::Relaxed);
-            shared.dirty.fetch_add(1, Ordering::Relaxed);
-            line
-        }
     }
 }
 

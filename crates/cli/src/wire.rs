@@ -38,8 +38,9 @@ pub const OVERLOAD_RETRY_MS: u64 = 25;
 /// is answered with a named error rather than a misparse.
 ///
 /// v2: the stage engine re-keyed link-graph/presentation/homology
-/// artifacts per split branch, so v1 peers would disagree about which
-/// artifacts a shard owns; the version gate keeps mixed fleets honest.
+/// artifacts per split branch. Removing the `stage` op changed no other
+/// message's shape, so the version stays 2; a `stage` request gets the
+/// structured `unknown op` error.
 pub const PROTO_VERSION: u64 = 2;
 
 /// Upper bound on the load-derived retry hint (milliseconds).
@@ -130,9 +131,6 @@ pub struct AnalyzeRequest {
 pub enum Request {
     /// Decide a task (the default op).
     Analyze(AnalyzeRequest),
-    /// Execute one verdict-engine stage (worker mode; the dispatch side
-    /// lives in `chromata::stages::remote`).
-    Stage(Box<chromata::StageJob>),
     /// Liveness probe.
     Ping,
     /// Server + stage-cache counters.
@@ -195,9 +193,6 @@ pub fn parse_request(line: &str, max_payload: usize) -> Result<Request, WireErro
     };
     match op.as_str() {
         "analyze" => parse_analyze(&entries),
-        "stage" => chromata::parse_stage_fields(&entries)
-            .map(|job| Request::Stage(Box::new(job)))
-            .map_err(WireError),
         "ping" | "stats" | "persist" | "shutdown" => {
             if let Some((key, _)) = entries.iter().find(|(k, _)| k != "op" && k != "proto") {
                 return Err(WireError(format!("unknown field `{key}` for op `{op}`")));
@@ -210,7 +205,7 @@ pub fn parse_request(line: &str, max_payload: usize) -> Result<Request, WireErro
             })
         }
         other => Err(WireError(format!(
-            "unknown op `{other}`; expected analyze, stage, ping, stats, persist or shutdown"
+            "unknown op `{other}`; expected analyze, ping, stats, persist or shutdown"
         ))),
     }
 }
@@ -522,6 +517,10 @@ mod tests {
                 "unknown field `task` for op `ping`",
             ),
             (r#"{"op":"defrag"}"#, "unknown op `defrag`"),
+            (
+                r#"{"op":"stage","stage":"link-graphs","task":{}}"#,
+                "unknown op `stage`; expected analyze, ping, stats, persist or shutdown",
+            ),
             (r#"{"op":"analyze"}"#, "needs a `task`"),
             (r#"{"task":7}"#, "must be a library name or a task object"),
             (r#"{"task":"x","budget_ms":-5}"#, "non-negative integer"),
@@ -620,18 +619,6 @@ mod tests {
         // Ill-typed: named field error.
         let err = parse_request(r#"{"op":"ping","proto":"new"}"#, DEFAULT_MAX_PAYLOAD).unwrap_err();
         assert!(err.0.contains("field `proto`"), "{err}");
-    }
-
-    #[test]
-    fn parses_a_stage_request_line() {
-        let task = chromata_task::canonicalize(&chromata_task::library::hourglass());
-        let job = chromata::StageJob::Links { task };
-        let line = chromata::stage_request_line(&job).unwrap();
-        let parsed = parse_request(&line, DEFAULT_MAX_PAYLOAD).unwrap();
-        assert_eq!(parsed, Request::Stage(Box::new(job)));
-        // Bad stage payloads surface the core layer's named rejection.
-        let err = parse_request(r#"{"op":"stage"}"#, DEFAULT_MAX_PAYLOAD).unwrap_err();
-        assert!(err.0.contains("needs a `stage`"), "{err}");
     }
 
     #[test]

@@ -474,82 +474,6 @@ fn a_stalled_half_request_is_timed_out_and_frees_its_worker_slot() {
     let _ = server.wait();
 }
 
-/// Distributed stage execution over real sockets: two in-process
-/// workers serve `op:"stage"` jobs for a batch, one is killed
-/// mid-batch, and every verdict + digest still matches the
-/// single-machine golden.
-#[test]
-fn shard_pool_survives_a_worker_death_with_digest_parity() {
-    let _guard = store_guard();
-    let tasks = task_set();
-
-    // Single-machine goldens, engine off, cold caches.
-    chromata::clear_remote();
-    clear_stage_caches();
-    chromata::clear_decision_cache();
-    let goldens: Vec<(String, u64)> = tasks
-        .iter()
-        .map(|(_, t)| {
-            let a = analyze(t, PipelineOptions::default());
-            (a.verdict.to_string(), a.evidence.deterministic_digest())
-        })
-        .collect();
-
-    // Two workers on OS-assigned ports; route stages across both with
-    // fast retries so the post-kill connect faults resolve quickly.
-    let mut worker_a = Some(Server::start(options()).unwrap());
-    let worker_b = Server::start(options()).unwrap();
-    let pool = vec![
-        worker_a.as_ref().unwrap().local_addr().to_string(),
-        worker_b.local_addr().to_string(),
-    ];
-    chromata_cli::configure_shards(
-        &pool,
-        chromata::RemotePolicy {
-            attempts: 3,
-            base_backoff_ms: 1,
-            max_backoff_ms: 5,
-            ..chromata::RemotePolicy::default()
-        },
-    )
-    .unwrap();
-
-    clear_stage_caches();
-    chromata::clear_decision_cache();
-    let mid = tasks.len() / 2;
-    for (i, (name, task)) in tasks.iter().enumerate() {
-        if i == mid {
-            // SIGKILL-equivalent for an in-process worker: stop
-            // accepting and drop every live connection.
-            if let Some(worker) = worker_a.take() {
-                worker.shutdown();
-                let _ = worker.wait();
-            }
-        }
-        let a = analyze(task, PipelineOptions::default());
-        assert_eq!(
-            (a.verdict.to_string(), a.evidence.deterministic_digest()),
-            goldens[i],
-            "{name}: digest drift {} a worker death",
-            if i < mid { "before" } else { "after" }
-        );
-    }
-
-    let stats = chromata::remote_stats().expect("engine is configured");
-    assert!(
-        stats.fetched >= 1,
-        "no stage was actually served by a shard: {stats:?}"
-    );
-    assert!(
-        stats.connect_faults >= 1,
-        "the killed worker never surfaced a connect fault: {stats:?}"
-    );
-
-    chromata::clear_remote();
-    worker_b.shutdown();
-    let _ = worker_b.wait();
-}
-
 #[test]
 fn graceful_shutdown_persists_and_warm_restart_restores() {
     let _guard = store_guard();

@@ -34,7 +34,6 @@ pub mod artifacts;
 pub mod cache;
 pub mod chaos;
 pub mod persist;
-pub mod remote;
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -89,47 +88,6 @@ impl fmt::Display for CacheEvent {
     }
 }
 
-/// Where a stage's artifact was computed. Circumstantial provenance —
-/// like [`StageEvidence::wall`] and [`StageEvidence::cache`] it is
-/// excluded from [`EvidenceChain::deterministic_digest`], so a
-/// shard-computed analysis and a single-machine run agree byte-for-byte
-/// on their digests.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum StageOrigin {
-    /// Computed in-process (no remote engine configured, a cache hit,
-    /// or a budget-sensitive stage pinned local for determinism).
-    Local,
-    /// Fetched from a worker shard on the given dispatch attempt
-    /// (1-based).
-    Shard {
-        /// Shard index within the configured pool.
-        shard: usize,
-        /// Dispatch attempt that succeeded (1 = first try).
-        attempt: u32,
-    },
-    /// Every remote option was exhausted; the stage was recomputed
-    /// locally (graceful degradation, never a missing artifact).
-    LocalFallback,
-}
-
-impl StageOrigin {
-    /// Stable label, e.g. `local`, `shard-1#2`, `local-fallback`.
-    #[must_use]
-    pub fn label(self) -> String {
-        match self {
-            StageOrigin::Local => "local".to_owned(),
-            StageOrigin::Shard { shard, attempt } => format!("shard-{shard}#{attempt}"),
-            StageOrigin::LocalFallback => "local-fallback".to_owned(),
-        }
-    }
-}
-
-impl fmt::Display for StageOrigin {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.label())
-    }
-}
-
 /// One stage's contribution to an analysis: what it concluded, how much
 /// work it did, and how it interacted with its cache.
 #[derive(Clone, Debug)]
@@ -145,9 +103,6 @@ pub struct StageEvidence {
     /// Wall-clock time the stage took in this run (zero when replayed).
     /// Excluded from [`EvidenceChain::deterministic_digest`].
     pub wall: Duration,
-    /// Which machine computed the artifact (shard, local, or fallback).
-    /// Excluded from [`EvidenceChain::deterministic_digest`].
-    pub origin: StageOrigin,
     /// Whether any part of the artifact was served from a cache — for
     /// branch-keyed stages, whether at least one branch hit. Excluded
     /// from [`EvidenceChain::deterministic_digest`] (it legitimately
@@ -207,9 +162,6 @@ impl fmt::Display for EvidenceChain {
                 s.wall.as_secs_f64() * 1e3,
                 s.detail,
             )?;
-            if s.origin != StageOrigin::Local {
-                write!(f, "  [{}]", s.origin)?;
-            }
             if s.reused && s.subkeys > 0 {
                 write!(f, "  [reused across {} sub-key(s)]", s.subkeys)?;
             }
@@ -244,7 +196,6 @@ impl StageTrace {
             work: self.work,
             cache: CacheEvent::Replayed,
             wall: Duration::ZERO,
-            origin: StageOrigin::Local,
             reused: true,
             subkeys: 0,
         }
@@ -311,7 +262,6 @@ pub trait Stage {
                 work: Self::work(&hit),
                 cache: CacheEvent::Hit,
                 wall: clock.elapsed(),
-                origin: StageOrigin::Local,
                 reused: true,
                 subkeys: 0,
             };
@@ -333,7 +283,6 @@ pub trait Stage {
             work: Self::work(&artifact),
             cache,
             wall: clock.elapsed(),
-            origin: StageOrigin::Local,
             reused: false,
             subkeys: 0,
         };
@@ -469,9 +418,7 @@ impl Stage for PresentationStage {
 /// determined by the branches — so renamed or re-batched tasks with the
 /// same decomposition share the report.
 pub(crate) struct HomologyStage {
-    /// The whole split task (what a remote homology job ships).
-    pub task: Task,
-    /// Its branch decomposition (see [`branch_tasks`]) — the cache key.
+    /// The split task's branch decomposition (see [`branch_tasks`]) — the cache key.
     pub branches: Vec<Task>,
     pub links: Arc<LinkGraphs>,
     pub presentations: Arc<Presentations>,
@@ -649,8 +596,8 @@ pub(crate) fn branch_tasks(task: &Task) -> Vec<Task> {
 /// Folds per-branch evidence into the single aggregated record the
 /// evidence chain carries: detail and work come from the *global*
 /// artifact (so the deterministic digest is identical to a whole-task
-/// run), cache is `Hit` only when every branch hit, `reused` when any
-/// branch did, and the origin reports the first non-local branch.
+/// run), cache is `Hit` only when every branch hit, and `reused` when any
+/// branch did.
 fn aggregate_branch_evidence(
     stage: &'static str,
     detail: String,
@@ -660,11 +607,6 @@ fn aggregate_branch_evidence(
 ) -> StageEvidence {
     let all_hit = !branches.is_empty() && branches.iter().all(|e| e.cache == CacheEvent::Hit);
     let any_hit = branches.iter().any(|e| e.cache == CacheEvent::Hit);
-    let origin = branches
-        .iter()
-        .map(|e| e.origin)
-        .find(|o| *o != StageOrigin::Local)
-        .unwrap_or(StageOrigin::Local);
     StageEvidence {
         stage,
         detail,
@@ -675,7 +617,6 @@ fn aggregate_branch_evidence(
             CacheEvent::Miss
         },
         wall,
-        origin,
         reused: any_hit,
         subkeys: branches.len(),
     }
@@ -764,17 +705,14 @@ fn assemble_presentations(
     Presentations { per_triangle }
 }
 
-/// Runs the link-graph stage per branch — dispatching each branch to the
-/// shard pool when `dispatch` is set and one is configured — and
-/// assembles the global artifact, emitting one aggregated evidence
-/// record. Returns the branch artifacts too (the presentation stage
+/// Runs the link-graph stage per branch and assembles the global
+/// artifact, emitting one aggregated evidence record. Returns the branch artifacts too (the presentation stage
 /// consumes them branch-wise).
-pub(crate) fn run_links(
+fn run_links(
     task: &Task,
     branches: &[Task],
     store: &ArtifactStore,
     budget: &Budget,
-    dispatch: bool,
 ) -> (Arc<LinkGraphs>, Vec<Arc<LinkGraphs>>, StageEvidence) {
     let clock = Stopwatch::start();
     let mut branch_links = Vec::with_capacity(branches.len());
@@ -783,11 +721,7 @@ pub(crate) fn run_links(
         let stage = LinkStage {
             task: branch.clone(),
         };
-        let outcome = if dispatch {
-            remote::run_distributed(&stage, store, budget)
-        } else {
-            stage.run(store, budget)
-        };
+        let outcome = stage.run(store, budget);
         branch_links.push(outcome.artifact);
         branch_evidence.push(outcome.evidence);
     }
@@ -805,13 +739,12 @@ pub(crate) fn run_links(
 /// Runs the presentation stage per branch (each against that branch's
 /// own link artifact) and assembles the global artifact — the
 /// presentation-side counterpart of [`run_links`].
-pub(crate) fn run_presentations(
+fn run_presentations(
     branches: &[Task],
     branch_links: &[Arc<LinkGraphs>],
     global_links: &Arc<LinkGraphs>,
     store: &ArtifactStore,
     budget: &Budget,
-    dispatch: bool,
 ) -> (Arc<Presentations>, StageEvidence) {
     let clock = Stopwatch::start();
     let mut branch_presentations = Vec::with_capacity(branches.len());
@@ -821,11 +754,7 @@ pub(crate) fn run_presentations(
             task: branch.clone(),
             links: Arc::clone(links),
         };
-        let outcome = if dispatch {
-            remote::run_distributed(&stage, store, budget)
-        } else {
-            stage.run(store, budget)
-        };
+        let outcome = stage.run(store, budget);
         branch_presentations.push(outcome.artifact);
         branch_evidence.push(outcome.evidence);
     }
@@ -844,18 +773,17 @@ pub(crate) fn run_presentations(
     (global, evidence)
 }
 
-/// Runs one whole-task stage — remotely when a shard pool is configured
-/// (see [`remote`]), locally otherwise — appending its evidence to the
-/// live chain and its deterministic trace to the record destined for the
-/// verdict cache.
-fn run_stage<S: remote::DistStage>(
+/// Runs one whole-task stage, appending its evidence to the live chain
+/// and its deterministic trace to the record destined for the verdict
+/// cache.
+fn run_stage<S: Stage>(
     stage: &S,
     store: &ArtifactStore,
     budget: &Budget,
     evidence: &mut EvidenceChain,
     traces: &mut Vec<StageTrace>,
 ) -> S::Artifact {
-    let outcome = remote::run_distributed(stage, store, budget);
+    let outcome = stage.run(store, budget);
     traces.push(StageTrace::of(&outcome.evidence));
     evidence.stages.push(outcome.evidence);
     outcome.artifact
@@ -901,16 +829,15 @@ fn decide_staged(
     }
     let t = &split.split.task;
     let branches = branch_tasks(t);
-    let (links, branch_links, link_evidence) = run_links(t, &branches, store, budget, true);
+    let (links, branch_links, link_evidence) = run_links(t, &branches, store, budget);
     traces.push(StageTrace::of(&link_evidence));
     evidence.stages.push(link_evidence);
     let (presentations, pres_evidence) =
-        run_presentations(&branches, &branch_links, &links, store, budget, true);
+        run_presentations(&branches, &branch_links, &links, store, budget);
     traces.push(StageTrace::of(&pres_evidence));
     evidence.stages.push(pres_evidence);
     let homology = run_stage(
         &HomologyStage {
-            task: t.clone(),
             branches,
             links,
             presentations,
@@ -1019,19 +946,15 @@ pub(crate) fn run_engine(
         work: canonical.output().facet_count() as u64,
         cache: CacheEvent::Uncached,
         wall: clock.elapsed(),
-        origin: StageOrigin::Local,
         reused: false,
         subkeys: 0,
     });
 
     let split_art = if task.process_count() == 3 {
-        let outcome = remote::run_distributed(
-            &SplitStage {
-                canonical: canonical.clone(),
-            },
-            store,
-            budget,
-        );
+        let outcome = SplitStage {
+            canonical: canonical.clone(),
+        }
+        .run(store, budget);
         evidence.stages.push(outcome.evidence);
         outcome.artifact
     } else {
@@ -1054,7 +977,6 @@ pub(crate) fn run_engine(
             work: 0,
             cache: CacheEvent::Uncached,
             wall: clock.elapsed(),
-            origin: StageOrigin::Local,
             reused: false,
             subkeys: 0,
         });
@@ -1134,17 +1056,12 @@ mod tests {
             work: 0,
             cache: CacheEvent::Miss,
             wall: Duration::from_millis(7),
-            origin: StageOrigin::Local,
             reused: false,
             subkeys: 0,
         });
         let mut b = a.clone();
         b.stages[0].cache = CacheEvent::Hit;
         b.stages[0].wall = Duration::ZERO;
-        b.stages[0].origin = StageOrigin::Shard {
-            shard: 1,
-            attempt: 2,
-        };
         b.stages[0].reused = true;
         b.stages[0].subkeys = 5;
         assert_eq!(a.deterministic_digest(), b.deterministic_digest());
@@ -1184,19 +1101,12 @@ mod tests {
         let budget = Budget::unlimited();
         let branches = branch_tasks(&base);
         assert_eq!(branches.len(), 2);
-        let (cold_links, cold_branch_links, cold_ev) =
-            run_links(&base, &branches, &store, &budget, false);
+        let (cold_links, cold_branch_links, cold_ev) = run_links(&base, &branches, &store, &budget);
         assert_eq!(cold_ev.cache, CacheEvent::Miss);
         assert!(!cold_ev.reused);
         assert_eq!(cold_ev.subkeys, 2);
-        let (_, cold_pres_ev) = run_presentations(
-            &branches,
-            &cold_branch_links,
-            &cold_links,
-            &store,
-            &budget,
-            false,
-        );
+        let (_, cold_pres_ev) =
+            run_presentations(&branches, &cold_branch_links, &cold_links, &store, &budget);
         assert_eq!(cold_pres_ev.subkeys, 2);
         let after_cold = store.links.lock().stats();
         assert_eq!(after_cold.reuse_hits, 0, "cold run reuses nothing");
@@ -1206,7 +1116,7 @@ mod tests {
         // τ1's branch artifact is served from the cache (a reuse hit).
         let edited_branches = branch_tasks(&edited);
         let (edited_links, edited_branch_links, warm_ev) =
-            run_links(&edited, &edited_branches, &store, &budget, false);
+            run_links(&edited, &edited_branches, &store, &budget);
         assert!(warm_ev.reused, "the unedited branch must be reused");
         assert_eq!(warm_ev.cache, CacheEvent::Miss, "one branch recomputed");
         let after_edit = store.links.lock().stats();
@@ -1219,7 +1129,6 @@ mod tests {
             &edited_links,
             &store,
             &budget,
-            false,
         );
         assert!(warm_pres_ev.reused);
         assert_eq!(store.presentations.lock().stats().reuse_hits, 1);

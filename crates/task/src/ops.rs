@@ -106,8 +106,9 @@ pub const MUTATION_KINDS: [MutationKind; 3] = [
     MutationKind::RenameValue,
 ];
 
-/// xorshift64* step — the same tiny deterministic generator the shard
-/// router uses; no OS entropy, so a seed fully determines the campaign.
+/// xorshift64* step — the same tiny deterministic generator the chaos
+/// fault schedule uses; no OS entropy, so a seed fully determines the
+/// campaign.
 fn xorshift(state: &mut u64) -> u64 {
     let mut x = *state | 1;
     x ^= x << 13;

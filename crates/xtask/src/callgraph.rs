@@ -80,7 +80,7 @@ pub struct LockSite {
     pub held: (usize, usize),
 }
 
-/// An I/O call (`ShardIo`/`PersistIo` method, socket constructor, or a
+/// An I/O call (`PersistIo` method, socket constructor, or a
 /// generic read/write on an I/O-ish receiver).
 #[derive(Clone, Debug)]
 pub struct IoSite {
@@ -167,14 +167,14 @@ const GENERIC_IO_NAMES: &[&str] = &["read", "write", "remove", "rename", "flush"
 /// Receiver last-segments that make a generic read/write an I/O call.
 const IOISH_RECEIVERS: &[&str] = &["io", "stream", "socket", "conn", "listener", "sock"];
 
-/// Builds the I/O vocabulary from the `ShardIo`/`PersistIo` traits
+/// Builds the I/O vocabulary from the `PersistIo` trait
 /// found in the workspace, plus the socket-constructor names.
 #[must_use]
 pub fn io_catalog(files: &[FileView<'_>]) -> IoCatalog {
     let mut cat = IoCatalog::default();
     for f in files {
         for t in &f.symbols.traits {
-            if t.name == "ShardIo" || t.name == "PersistIo" {
+            if t.name == "PersistIo" {
                 for m in &t.methods {
                     if GENERIC_IO_NAMES.contains(&m.as_str()) {
                         cat.generic.insert(m.clone());

@@ -13,7 +13,7 @@
 //!   container and the token range of their body (nested functions get
 //!   their own item; closures attribute to the enclosing function);
 //! * `trait` items with their method names (the L2 pass derives the
-//!   `ShardIo`/`PersistIo` I/O vocabulary from these).
+//!   `PersistIo` I/O vocabulary from these).
 //!
 //! Like the lexer, the parser is *sound for linting*, not a full Rust
 //! grammar: it over-approximates where the two differ, and every

@@ -238,6 +238,13 @@ fn chaos_exemptions_are_path_exact() {
     assert_eq!(actual, vec![(2, "D4")], "{diags:?}");
     let stray = role_for("crates/task/src/chaos.rs").unwrap();
     assert!(!stray.clock_exempt && !stray.net_exempt);
+    // Only serve.rs and chaos.rs are exempt: a socket constructed at any
+    // other cli path, such as the old shard backend's, is a D4 finding.
+    let shard = role_for("crates/cli/src/shard.rs").unwrap();
+    assert!(!shard.net_exempt);
+    let diags = lint_source("crates/cli/src/shard.rs", src, shard, &Config::default());
+    let actual: Vec<(u32, &str)> = diags.iter().map(|d| (d.line, d.rule)).collect();
+    assert_eq!(actual, vec![(2, "D4")], "{diags:?}");
 }
 
 #[test]

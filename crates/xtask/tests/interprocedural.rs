@@ -155,7 +155,7 @@ fn l2_lock_order_fixture() {
         .iter()
         .find(|d| d.message.contains("held across"))
         .expect("held-across-I/O finding");
-    assert!(held.message.contains("`exchange(..)`"), "{}", held.message);
+    assert!(held.message.contains("`write_tmp(..)`"), "{}", held.message);
     // The same file outside the L2 scope list raises nothing: the pass
     // only analyzes the concurrency-bearing modules.
     let other = lint_sources(
