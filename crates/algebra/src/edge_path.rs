@@ -70,27 +70,6 @@ impl EdgePathGroup {
         }
     }
 
-    /// Reassembles an edge-path group from its serialized parts; the
-    /// generator index is re-derived from the oriented edge list (the
-    /// serde layer has already checked that the generator count matches).
-    pub(crate) fn from_parts(
-        presentation: Presentation,
-        generator_edges: Vec<(Vertex, Vertex)>,
-        graph: Graph,
-    ) -> Self {
-        let generator_index: BTreeMap<(Vertex, Vertex), i32> = generator_edges
-            .iter()
-            .enumerate()
-            .map(|(k, e)| (e.clone(), k as i32 + 1))
-            .collect();
-        EdgePathGroup {
-            presentation,
-            generator_edges,
-            generator_index,
-            graph,
-        }
-    }
-
     /// The group presentation (generators = non-tree edges, relators =
     /// triangle boundaries).
     #[must_use]
@@ -154,20 +133,6 @@ impl PresentationSummary {
     pub fn of(k: &Complex) -> Self {
         let group = EdgePathGroup::new(k);
         let simplified = group.presentation().simplified();
-        let trivial = simplified.is_trivial_group();
-        let evidently_abelian = group.presentation().is_evidently_abelian();
-        PresentationSummary {
-            group,
-            simplified,
-            trivial,
-            evidently_abelian,
-        }
-    }
-
-    /// Reassembles a summary from its persisted group and simplified
-    /// presentation, recomputing the two derived flags instead of trusting
-    /// them from disk (they are cheap given the presentations).
-    pub(crate) fn from_parts(group: EdgePathGroup, simplified: Presentation) -> Self {
         let trivial = simplified.is_trivial_group();
         let evidently_abelian = group.presentation().is_evidently_abelian();
         PresentationSummary {

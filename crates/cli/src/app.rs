@@ -212,7 +212,7 @@ pub enum Command {
 /// The three offline `chromata cache` maintenance actions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheAction {
-    /// Print per-kind snapshot statistics.
+    /// Print the verdict snapshot's statistics.
     Stats,
     /// Audit snapshot integrity; nonzero exit on any corruption.
     Verify,
@@ -956,7 +956,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             };
             // Start cold so the reported ratio is the campaign's own,
             // not inherited from an earlier command in this process.
-            chromata::clear_decision_cache();
+            chromata::clear_stage_caches();
             let total = bases.len() * rounds;
             let sample_step = (total / 8).max(1);
             let watch = Stopwatch::start();
@@ -1010,7 +1010,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             // evidence digest byte-for-byte.
             let mut parity_ok = 0usize;
             for (mutant, warm) in &sampled {
-                chromata::clear_decision_cache();
+                chromata::clear_stage_caches();
                 let cold = analyze(mutant, options).evidence.deterministic_digest();
                 let verdict = if cold == *warm { "ok" } else { "MISMATCH" };
                 parity_ok += usize::from(cold == *warm);
@@ -1337,35 +1337,29 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                     );
                 }
                 CacheAction::Stats | CacheAction::Verify => {
-                    let audits = audit_cache_dir(dir);
-                    let mut dirty = 0usize;
-                    for a in &audits {
-                        let _ = writeln!(
-                            out,
-                            "{:<13} {:<8} entries {:>5}  capacity {:>5}  hits {:>6}  misses {:>6}  \
-                             evictions {:>6}  torn {:>3}  corrupt {:>3}",
-                            a.kind.name(),
-                            a.status.label(),
-                            a.entries,
-                            a.capacity,
-                            a.hits,
-                            a.misses,
-                            a.evictions,
-                            a.torn_entries,
-                            a.corrupt_entries
-                        );
-                        for issue in &a.issues {
-                            let _ = writeln!(out, "    issue: {issue}");
-                        }
-                        if !a.is_clean() {
-                            dirty += 1;
-                        }
+                    let a = audit_cache_dir(dir);
+                    let _ = writeln!(
+                        out,
+                        "{:<13} {:<8} entries {:>5}  capacity {:>5}  hits {:>6}  misses {:>6}  \
+                         evictions {:>6}  torn {:>3}  corrupt {:>3}",
+                        a.kind.name(),
+                        a.status.label(),
+                        a.entries,
+                        a.capacity,
+                        a.hits,
+                        a.misses,
+                        a.evictions,
+                        a.torn_entries,
+                        a.corrupt_entries
+                    );
+                    for issue in &a.issues {
+                        let _ = writeln!(out, "    issue: {issue}");
                     }
                     if action == CacheAction::Verify {
-                        if dirty > 0 {
+                        if !a.is_clean() {
                             let _ = writeln!(
                                 out,
-                                "verify: FAILED — {dirty} snapshot(s) rejected, torn or corrupt"
+                                "verify: FAILED — the snapshot is rejected, torn or corrupt"
                             );
                             return Err(CliError(out));
                         }
@@ -1476,7 +1470,7 @@ COMMANDS:
 
 <task> is a library name (see `list`) or a path to a task JSON file.
 --cache-dir (or the CHROMATA_CACHE_DIR environment variable) makes the
-stage caches durable: snapshots are written atomically after each run
+verdict cache durable: its snapshot is written atomically after each run
 and reloaded — tolerating torn or corrupt records — on the next one.
 ";
 
@@ -1774,7 +1768,7 @@ mod tests {
         // Force a live run: a verdict-cache replay reports subkeys 0
         // (per-branch telemetry is process-circumstantial, not part of
         // the replayable trace).
-        chromata::clear_decision_cache();
+        chromata::clear_stage_caches();
         let out = run(Command::Explain {
             cache_dir: None,
             task: "consensus".into(),

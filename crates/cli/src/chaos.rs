@@ -31,9 +31,8 @@ use std::time::Duration;
 
 use chromata::topology::govern::Stopwatch;
 use chromata::{
-    analyze_governed, audit_cache_dir, clear_decision_cache, clear_stage_caches, persist_failures,
-    store_read_through, Budget, CancelToken, FaultKind, FaultSchedule, NetFault, PersistChaos,
-    PlannedFault, Verdict,
+    analyze_governed, audit_cache_dir, clear_stage_caches, persist_failures, store_read_through,
+    Budget, CancelToken, FaultKind, FaultSchedule, NetFault, PersistChaos, PlannedFault, Verdict,
 };
 use chromata_task::{mutate_task, Task};
 
@@ -263,7 +262,6 @@ pub fn run_campaign(opts: &ChaosOptions) -> Result<String, CliError> {
 
     // Oracle pass: the same stream, clean process — the ground truth
     // every faulted round must reproduce.
-    clear_decision_cache();
     clear_stage_caches();
     let budget = Budget::unlimited();
     let cancel = CancelToken::new();
@@ -278,7 +276,6 @@ pub fn run_campaign(opts: &ChaosOptions) -> Result<String, CliError> {
     }
 
     // Campaign: cold caches, chaos seams installed, live server.
-    clear_decision_cache();
     clear_stage_caches();
     let dir = opts.cache_dir.clone().unwrap_or_else(|| {
         std::env::temp_dir().join(format!("chromata-chaos-{}", std::process::id()))
@@ -423,18 +420,17 @@ pub fn run_campaign(opts: &ChaosOptions) -> Result<String, CliError> {
     };
     PersistChaos::uninstall();
 
-    // The surviving cache directory must audit clean: every snapshot
-    // the campaign's persists (including the failed ones) left behind
-    // is intact or absent, never torn.
+    // The surviving cache directory must audit clean: the snapshot the
+    // campaign's persists (including the failed ones) left behind is
+    // intact or absent, never torn.
     if dir.exists() {
-        for audit in audit_cache_dir(&dir) {
-            if !audit.is_clean() {
-                breaches.push(format!(
-                    "cache audit: {} snapshot unclean: {:?}",
-                    audit.kind.name(),
-                    audit.issues
-                ));
-            }
+        let audit = audit_cache_dir(&dir);
+        if !audit.is_clean() {
+            breaches.push(format!(
+                "cache audit: {} snapshot unclean: {:?}",
+                audit.kind.name(),
+                audit.issues
+            ));
         }
     }
     if opts.cache_dir.is_none() {

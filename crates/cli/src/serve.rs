@@ -266,7 +266,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds, warm-starts the stage caches, and spawns the accept
+    /// Binds, warm-starts the verdict cache, and spawns the accept
     /// thread, worker pool, and (if configured) background persister.
     ///
     /// # Errors

@@ -62,12 +62,10 @@ pub use chromata_topology::{Budget, CancelToken, Interrupt};
 pub use continuous::{continuous_map_exists, ContinuousOutcome, ImpossibilityReason};
 pub use corollaries::{corollary_5_5, crossing_graph, every_cycle_crosses_a_lap};
 pub use lap::{first_lap_of_facet, laps, Lap};
-#[allow(deprecated)] // the shim is re-exported for source compatibility
-pub use pipeline::decision_cache_stats;
 pub use pipeline::{
     analyze, analyze_batch, analyze_batch_governed, analyze_batch_persistent, analyze_governed,
-    analyze_persistent, clear_decision_cache, set_decision_cache_capacity, Analysis,
-    DecisionCacheStats, Obstruction, PersistenceReport, PipelineOptions, Verdict,
+    analyze_persistent, Analysis, DecisionCacheStats, Obstruction, PersistenceReport,
+    PipelineOptions, Verdict,
 };
 pub use splitting::{
     split_all, split_once, transport_witness, unsplit_simplex, unsplit_vertex, SplitOutcome,

@@ -29,7 +29,6 @@ use chromata_task::Task;
 use chromata_topology::{par_map, Budget, CancelToken};
 
 use crate::splitting::SplitOutcome;
-use crate::stages::cache::{self, ArtifactKind};
 use crate::stages::persist;
 use crate::stages::EvidenceChain;
 
@@ -147,29 +146,6 @@ pub struct PipelineOptions {
     pub act_fallback_rounds: usize,
 }
 
-/// Current verdict-cache counters (process-wide).
-///
-/// The single decision cache was split into per-stage caches in PR 4;
-/// this shim reports the **verdict** cache only.
-#[deprecated(note = "use `stage_cache_stats()` for per-stage counters")]
-#[must_use]
-pub fn decision_cache_stats() -> DecisionCacheStats {
-    cache::store().verdict.lock().stats()
-}
-
-/// Drops every memoized artifact of every stage and resets the counters.
-pub fn clear_decision_cache() {
-    cache::clear_stage_caches();
-}
-
-/// Replaces the verdict cache's capacity (process-wide), evicting the
-/// oldest entries if the cache currently exceeds the new bound. A
-/// capacity of 0 disables verdict caching entirely. Other stage caches
-/// are controlled via [`cache::set_stage_cache_capacity`].
-pub fn set_decision_cache_capacity(capacity: usize) {
-    cache::set_stage_cache_capacity(ArtifactKind::Verdict, capacity);
-}
-
 /// Runs the full pipeline on a (1-, 2- or 3-process) task.
 ///
 /// # Panics
@@ -262,12 +238,12 @@ fn persist_after(cache_dir: &persist::CacheDirConfig, report: &mut PersistenceRe
     }
 }
 
-/// [`analyze`] with durable stage caches: warm-starts the process-wide
-/// [`ArtifactStore`] from `cache_dir` (once per directory per process),
-/// analyzes, then snapshots the caches back. Verdicts and evidence
-/// digests are byte-identical to a cold [`analyze`]; corruption on disk
-/// degrades to recovery counters, and a save failure is reported — not
-/// raised.
+/// [`analyze`] with a durable verdict cache: warm-starts the
+/// process-wide [`ArtifactStore`]'s verdicts from `cache_dir` (once per
+/// directory per process), analyzes, then snapshots the verdicts back.
+/// Verdicts and evidence digests are byte-identical to a cold
+/// [`analyze`]; corruption on disk degrades to recovery counters, and a
+/// save failure is reported — not raised.
 #[must_use]
 pub fn analyze_persistent(
     task: &Task,
@@ -283,7 +259,7 @@ pub fn analyze_persistent(
     (analysis, report)
 }
 
-/// [`analyze_batch`] with durable stage caches: one warm start before
+/// [`analyze_batch`] with a durable verdict cache: one warm start before
 /// the fan-out, one snapshot after every task is decided.
 #[must_use]
 pub fn analyze_batch_persistent(
@@ -303,7 +279,7 @@ pub fn analyze_batch_persistent(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stages::CacheEvent;
+    use crate::stages::{cache, CacheEvent};
     use chromata_task::library::{
         adaptive_renaming, approximate_agreement, consensus, constant_task, disk_complex,
         hourglass, identity_task, leader_election, loop_agreement, majority_consensus, pinwheel,
@@ -431,7 +407,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // exercising the compat shim is the point
     fn repeated_analysis_hits_the_decision_cache() {
         // Prime the cache, then re-analyze the identical task: the second
         // run must be served from the cache. Other tests run concurrently
@@ -439,10 +414,11 @@ mod tests {
         // deltas rather than absolute values.
         let task = two_set_agreement();
         let options = PipelineOptions::default();
+        let verdict_stats = || cache::store().verdict.lock().stats();
         let first = analyze(&task, options);
-        let primed = decision_cache_stats();
+        let primed = verdict_stats();
         let second = analyze(&task, options);
-        let after = decision_cache_stats();
+        let after = verdict_stats();
         assert!(
             after.hits > primed.hits,
             "expected a cache hit: {primed:?} -> {after:?}"
@@ -456,7 +432,7 @@ mod tests {
         // Clearing mid-flight must not change any verdict, only force the
         // tiers to re-run; verdicts repopulate on the next analysis.
         let before = verdict(&hourglass());
-        clear_decision_cache();
+        cache::clear_stage_caches();
         let after = verdict(&hourglass());
         assert!(before.is_unsolvable() && after.is_unsolvable());
     }
@@ -501,6 +477,32 @@ mod tests {
             other => panic!("expected a graceful Unknown, got {other:?}"),
         }
         assert_eq!(starved.evidence.decided_by, "budget");
+
+        // Nor does it reach disk: a snapshot taken right now holds no
+        // record for the starved task.
+        let dir =
+            std::env::temp_dir().join(format!("chromata-starved-probe-{}", std::process::id()));
+        let config = persist::CacheDirConfig::at(&dir);
+        {
+            let _guard = persist::persist_now_test_guard();
+            persist::persist_now(&config)
+                .expect("persistence is configured")
+                .expect("snapshot write succeeds");
+        }
+        let audit = persist::audit_cache_dir(&dir);
+        assert!(audit.is_clean(), "{audit:?}");
+        let reloaded = cache::ArtifactStore::with_capacity(1);
+        persist::load_store(&reloaded, &dir, &persist::RealIo);
+        let persisted = reloaded.verdict.lock().entries_in_order();
+        assert_eq!(persisted.len() as u64, audit.entries);
+        assert!(
+            persisted
+                .iter()
+                .all(|((canonical, _), _)| canonical != &starved.canonical),
+            "a budget-starved verdict reached disk"
+        );
+        persist::clear_cache_dir(&dir).expect("clear the probe snapshot");
+
         let recovered = analyze(&task, PipelineOptions::default());
         assert!(recovered.verdict.is_unsolvable(), "re-decided from scratch");
     }

@@ -246,22 +246,19 @@ pub(crate) fn exists_summary(outcome: &ContinuousOutcome) -> Option<(usize, usiz
 }
 
 // ---------------------------------------------------------------------------
-// Serde plumbing — the persistence layer (`super::persist`) snapshots every
-// stage cache, so each artifact (and the verdict record) needs a stable,
-// canonical serialized form. Same rules as the topology/algebra serde
-// layers: explicit mirror shapes on the vendored `Content` tree, ordered
-// containers rendered as sorted sequences, and *validation before
-// construction* — a corrupt snapshot entry must become an `Err`, never a
-// panic or a malformed artifact.
+// Serde plumbing — the persistence layer (`super::persist`) snapshots the
+// verdict cache, so the verdict record needs a stable, canonical
+// serialized form. The stage artifacts above are rebuilt from the task
+// and are never serialized. Same rules as the topology serde layer:
+// explicit mirror shapes on the vendored `Content` tree and *validation
+// before construction* — a corrupt snapshot entry must become an `Err`,
+// never a panic or a malformed record.
 // ---------------------------------------------------------------------------
 
 use serde::de::Error as DeError;
 use serde::{de, ser, Content, Deserialize, Deserializer, Serialize, Serializer};
-use std::collections::BTreeMap;
 
 use super::{DecisionRecord, StageTrace};
-use crate::continuous::ImpossibilityReason;
-use crate::lap::Lap;
 use crate::pipeline::Obstruction;
 
 /// The engine's fixed stage names (plus the governance pseudo-stages),
@@ -393,279 +390,6 @@ impl Obstruction {
     }
 }
 content_backed!(Obstruction);
-
-impl ImpossibilityReason {
-    fn to_content_repr(&self) -> Result<Content, String> {
-        Ok(match self {
-            ImpossibilityReason::EmptyVertexImage(x) => {
-                variant("empty_vertex_image", to_content(x)?)
-            }
-            ImpossibilityReason::SkeletonDisconnected { edge } => {
-                variant("skeleton_disconnected", to_content(edge)?)
-            }
-            ImpossibilityReason::HomologyObstruction { triangle } => {
-                variant("homology_obstruction", to_content(triangle)?)
-            }
-        })
-    }
-
-    fn from_content_repr(c: &Content) -> Result<Self, String> {
-        let (tag, payload) = as_variant(c)?;
-        match tag {
-            "empty_vertex_image" => Ok(ImpossibilityReason::EmptyVertexImage(from_content(
-                payload,
-            )?)),
-            "skeleton_disconnected" => Ok(ImpossibilityReason::SkeletonDisconnected {
-                edge: from_content(payload)?,
-            }),
-            "homology_obstruction" => Ok(ImpossibilityReason::HomologyObstruction {
-                triangle: from_content(payload)?,
-            }),
-            other => Err(format!("unknown impossibility variant '{other}'")),
-        }
-    }
-}
-content_backed!(ImpossibilityReason);
-
-impl ContinuousOutcome {
-    fn to_content_repr(&self) -> Result<Content, String> {
-        Ok(match self {
-            ContinuousOutcome::Exists {
-                assignment,
-                certificates,
-            } => {
-                // BTreeMap iterates sorted, so the pair list is canonical.
-                let pairs: Vec<(&Vertex, &Vertex)> = assignment.iter().collect();
-                variant(
-                    "exists",
-                    serde::map_content(vec![
-                        ("assignment", to_content(&pairs)?),
-                        ("certificates", to_content(certificates)?),
-                    ]),
-                )
-            }
-            ContinuousOutcome::Impossible { reason } => {
-                variant("impossible", reason.to_content_repr()?)
-            }
-            ContinuousOutcome::Undetermined { reason } => {
-                variant("undetermined", Content::Str(reason.clone()))
-            }
-        })
-    }
-
-    fn from_content_repr(c: &Content) -> Result<Self, String> {
-        let (tag, payload) = as_variant(c)?;
-        match tag {
-            "exists" => {
-                let entries = as_map(payload)?;
-                let pairs: Vec<(Vertex, Vertex)> = from_content(field(entries, "assignment")?)?;
-                let certificates: Vec<String> = from_content(field(entries, "certificates")?)?;
-                let assignment: BTreeMap<Vertex, Vertex> = pairs.into_iter().collect();
-                Ok(ContinuousOutcome::Exists {
-                    assignment,
-                    certificates,
-                })
-            }
-            "impossible" => Ok(ContinuousOutcome::Impossible {
-                reason: ImpossibilityReason::from_content_repr(payload)?,
-            }),
-            "undetermined" => Ok(ContinuousOutcome::Undetermined {
-                reason: from_content(payload)?,
-            }),
-            other => Err(format!("unknown continuous-outcome variant '{other}'")),
-        }
-    }
-}
-content_backed!(ContinuousOutcome);
-
-impl Lap {
-    fn to_content_repr(&self) -> Result<Content, String> {
-        let components: Vec<Vec<&Vertex>> =
-            self.components.iter().map(|c| c.iter().collect()).collect();
-        Ok(serde::map_content(vec![
-            ("facet", to_content(&self.facet)?),
-            ("vertex", to_content(&self.vertex)?),
-            ("components", to_content(&components)?),
-        ]))
-    }
-
-    fn from_content_repr(c: &Content) -> Result<Self, String> {
-        let entries = as_map(c)?;
-        let components: Vec<Vec<Vertex>> = from_content(field(entries, "components")?)?;
-        Ok(Lap {
-            facet: from_content(field(entries, "facet")?)?,
-            vertex: from_content(field(entries, "vertex")?)?,
-            components: components
-                .into_iter()
-                .map(|c| c.into_iter().collect())
-                .collect(),
-        })
-    }
-}
-content_backed!(Lap);
-
-impl SplitOutcome {
-    fn to_content_repr(&self) -> Result<Content, String> {
-        Ok(serde::map_content(vec![
-            ("task", to_content(&self.task)?),
-            ("steps", to_content(&self.steps)?),
-            ("degenerate", to_content(&self.degenerate)?),
-        ]))
-    }
-
-    fn from_content_repr(c: &Content) -> Result<Self, String> {
-        let entries = as_map(c)?;
-        Ok(SplitOutcome {
-            task: from_content(field(entries, "task")?)?,
-            steps: from_content(field(entries, "steps")?)?,
-            degenerate: from_content(field(entries, "degenerate")?)?,
-        })
-    }
-}
-content_backed!(SplitOutcome);
-
-impl Serialize for SubdividedComplex {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        self.split.serialize(s)
-    }
-}
-
-impl<'de> Deserialize<'de> for SubdividedComplex {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        Ok(SubdividedComplex {
-            split: SplitOutcome::deserialize(d)?,
-        })
-    }
-}
-
-impl LinkGraphs {
-    fn to_content_repr(&self) -> Result<Content, String> {
-        Ok(serde::map_content(vec![
-            ("vertices", to_content(&self.vertices)?),
-            ("domains", to_content(&self.domains)?),
-            ("edges", to_content(&self.edges)?),
-            ("edge_graphs", to_content(&self.edge_graphs)?),
-            ("edge_cycles", to_content(&self.edge_cycles)?),
-            ("triangles", to_content(&self.triangles)?),
-        ]))
-    }
-
-    fn from_content_repr(c: &Content) -> Result<Self, String> {
-        let entries = as_map(c)?;
-        let out = LinkGraphs {
-            vertices: from_content(field(entries, "vertices")?)?,
-            domains: from_content(field(entries, "domains")?)?,
-            edges: from_content(field(entries, "edges")?)?,
-            edge_graphs: from_content(field(entries, "edge_graphs")?)?,
-            edge_cycles: from_content(field(entries, "edge_cycles")?)?,
-            triangles: from_content(field(entries, "triangles")?)?,
-        };
-        // Consumers index these arrays in parallel; a snapshot that broke
-        // the parallel-array invariant must not construct.
-        if out.domains.len() != out.vertices.len()
-            || out.edge_graphs.len() != out.edges.len()
-            || out.edge_cycles.len() != out.edges.len()
-        {
-            return Err("link-graphs parallel arrays disagree in length".to_owned());
-        }
-        Ok(out)
-    }
-}
-content_backed!(LinkGraphs);
-
-impl ComponentPresentation {
-    fn to_content_repr(&self) -> Result<Content, String> {
-        let members: Vec<&Vertex> = self.members.iter().collect();
-        Ok(serde::map_content(vec![
-            ("members", to_content(&members)?),
-            ("summary", to_content(&self.summary)?),
-        ]))
-    }
-
-    fn from_content_repr(c: &Content) -> Result<Self, String> {
-        let entries = as_map(c)?;
-        let members: Vec<Vertex> = from_content(field(entries, "members")?)?;
-        Ok(ComponentPresentation {
-            members: members.into_iter().collect(),
-            summary: from_content(field(entries, "summary")?)?,
-        })
-    }
-}
-content_backed!(ComponentPresentation);
-
-impl TrianglePresentations {
-    fn to_content_repr(&self) -> Result<Content, String> {
-        Ok(serde::map_content(vec![
-            ("components", to_content(&self.components)?),
-            ("empty", to_content(&self.empty)?),
-            ("chain", to_content(&self.chain)?),
-        ]))
-    }
-
-    fn from_content_repr(c: &Content) -> Result<Self, String> {
-        let entries = as_map(c)?;
-        Ok(TrianglePresentations {
-            components: from_content(field(entries, "components")?)?,
-            empty: from_content(field(entries, "empty")?)?,
-            chain: from_content(field(entries, "chain")?)?,
-        })
-    }
-}
-content_backed!(TrianglePresentations);
-
-impl Serialize for Presentations {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        self.per_triangle.serialize(s)
-    }
-}
-
-impl<'de> Deserialize<'de> for Presentations {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        Ok(Presentations {
-            per_triangle: Vec::<TrianglePresentations>::deserialize(d)?,
-        })
-    }
-}
-
-impl HomologyReport {
-    fn to_content_repr(&self) -> Result<Content, String> {
-        Ok(serde::map_content(vec![
-            ("outcome", self.outcome.to_content_repr()?),
-            ("assignments", to_content(&self.assignments)?),
-        ]))
-    }
-
-    fn from_content_repr(c: &Content) -> Result<Self, String> {
-        let entries = as_map(c)?;
-        Ok(HomologyReport {
-            outcome: ContinuousOutcome::from_content_repr(field(entries, "outcome")?)?,
-            assignments: from_content(field(entries, "assignments")?)?,
-        })
-    }
-}
-content_backed!(HomologyReport);
-
-impl ExplorationReport {
-    fn to_content_repr(&self) -> Result<Content, String> {
-        Ok(serde::map_content(vec![
-            ("verdict", self.verdict.to_content_repr()?),
-            ("nodes", to_content(&self.nodes)?),
-            ("rounds_cap", to_content(&self.rounds_cap)?),
-            ("budget_independent", to_content(&self.budget_independent)?),
-        ]))
-    }
-
-    fn from_content_repr(c: &Content) -> Result<Self, String> {
-        let entries = as_map(c)?;
-        Ok(ExplorationReport {
-            verdict: Verdict::from_content_repr(field(entries, "verdict")?)?,
-            nodes: from_content(field(entries, "nodes")?)?,
-            rounds_cap: from_content(field(entries, "rounds_cap")?)?,
-            budget_independent: from_content(field(entries, "budget_independent")?)?,
-        })
-    }
-}
-content_backed!(ExplorationReport);
 
 impl StageTrace {
     fn to_content_repr(&self) -> Result<Content, String> {

@@ -30,9 +30,7 @@ use super::artifacts::{
 };
 use super::DecisionRecord;
 
-/// Hit/miss/eviction counters for one stage cache (and, via the
-/// deprecated [`crate::decision_cache_stats`] shim, for the verdict
-/// cache alone).
+/// Hit/miss/eviction counters for one stage cache.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct DecisionCacheStats {
     /// Total cache lookups. Under the coherence invariant every lookup
@@ -55,9 +53,8 @@ pub struct DecisionCacheStats {
     /// Truncated trailing records skipped on load — the signature of a
     /// torn write (crash mid-append before the final newline).
     pub torn_entries: u64,
-    /// Complete-looking records skipped on load: checksum mismatch,
-    /// undecodable payload, or an inadmissible artifact (e.g. a
-    /// budget-dependent exploration that must never be memoized).
+    /// Complete-looking records skipped on load: checksum mismatch or
+    /// undecodable payload.
     pub corrupt_entries: u64,
     /// Hits on *sub-task-granular* entries (per-branch link graphs and
     /// presentations): a nonzero value is the proof that an edited or

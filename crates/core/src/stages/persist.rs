@@ -1,27 +1,32 @@
-//! Crash-safe persistence for the [`ArtifactStore`]: durable stage-cache
-//! snapshots with corruption-tolerant recovery.
+//! Crash-safe persistence for the [`ArtifactStore`]: a durable verdict
+//! snapshot with corruption-tolerant recovery.
 //!
-//! Each stage cache is snapshot to its own file under a cache directory
-//! (`<dir>/<kind>.snap`), written with the classic durable protocol —
-//! temp file, fsync, atomic rename, directory fsync — so a crash at any
-//! instant leaves each kind's file equal to either the old snapshot or
-//! the new one, never a mix. The format is line-oriented and
-//! per-record-checksummed:
+//! Only the verdict cache crosses a process boundary. Its entries are
+//! the engine's answers (verdict, deciding tier, replayable stage
+//! trace), keyed by canonical task and ACT bound; every other stage
+//! artifact is a deterministic intermediate the engine rebuilds from the
+//! task, so a warm restart costs one file instead of six. The snapshot
+//! lives at `<dir>/verdict.snap`, written with the classic durable
+//! protocol — temp file, fsync, atomic rename, directory fsync — so a
+//! crash at any instant leaves the file equal to either the old
+//! snapshot or the new one, never a mix. The format is line-oriented
+//! and per-record-checksummed:
 //!
 //! ```text
-//! chromata-snap v2 <kind>\n          (magic + version + kind)
+//! chromata-snap v2 verdict\n         (magic + version + kind)
 //! H <fnv1a-16hex> [cap,h,m,e]\n      (capacity + cumulative counters)
 //! E <fnv1a-16hex> [key,value]\n      (one cache entry, insertion order)
 //! ```
 //!
-//! Version history: v1 keyed link-graph, presentation, and homology
-//! entries on whole tasks; v2 keys them per split branch (`links` and
-//! `presentations` on single-facet restriction tasks, `homology` on the
-//! branch vector). A v1 snapshot therefore fails the magic check and is
-//! rejected wholesale — the engine degrades to a cold recompute, which
-//! is always sound, rather than attempting a cross-version key
-//! migration that could alias artifacts. `reuse_hits` is process-local
-//! telemetry and is deliberately absent from the `H` record.
+//! Version history: v2 re-keyed the granular stage snapshots per split
+//! branch. A v1 snapshot fails the magic check and is rejected wholesale
+//! — the engine degrades to a cold recompute, which is always sound.
+//! Dropping the five non-verdict kinds left the verdict format as it
+//! was, so the magic stays v2: a directory written with all six kinds
+//! still restores its `verdict.snap`, and [`clear_cache_dir`] removes
+//! the other five files, which loading ignores. `reuse_hits` is
+//! process-local telemetry and is deliberately absent from the `H`
+//! record.
 //!
 //! Loading is paranoid and graceful — persistence must never poison a
 //! verdict. The recovery taxonomy (counted per cause in
@@ -33,13 +38,11 @@
 //! * **torn entry** — a trailing record with no final newline (crash
 //!   mid-append): the fragment is skipped, every complete record
 //!   before it is kept;
-//! * **corrupt entry** — a complete-looking record whose checksum,
-//!   payload, or admissibility check fails (e.g. a forged
-//!   budget-dependent exploration): the record is skipped.
+//! * **corrupt entry** — a complete-looking record whose checksum or
+//!   payload fails to decode: the record is skipped.
 //!
-//! Budget-truncated explorations are excluded at save time (and
-//! re-checked at load time): a verdict that depends on the configured
-//! budget must never be memoized across processes.
+//! Budget-starved verdicts never reach the verdict cache (the engine
+//! refuses to memoize them), so they never reach disk either.
 //!
 //! All filesystem traffic goes through the [`PersistIo`] seam so the
 //! test suite can inject every `io::ErrorKind` at every operation and
@@ -48,7 +51,6 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::hash::Hash;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -56,16 +58,22 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
 use chromata_task::Task;
 use chromata_topology::govern;
-use serde::{Deserialize, Serialize};
 
-use super::artifacts::ExplorationReport;
-use super::cache::{store, ArtifactKind, ArtifactStore, SharedCache, ALL_KINDS};
+use super::cache::{store, ArtifactKind, ArtifactStore, DecisionCacheStats, ALL_KINDS};
+use super::DecisionRecord;
 
-/// Magic prefix of every snapshot file (version-bearing): the first
-/// line is this prefix followed by the artifact-kind name. Bumped to v2
-/// with the per-branch re-keying of link-graph/presentation/homology
-/// artifacts; v1 snapshots are rejected (degrading to recompute), never
-/// reinterpreted under the new keys.
+/// One persisted verdict-cache entry: `(canonical task, ACT bound)` →
+/// the decision record.
+type VerdictEntry = ((Task, usize), DecisionRecord);
+
+/// The one artifact kind that is snapshot to disk.
+const KIND: ArtifactKind = ArtifactKind::Verdict;
+
+/// Magic prefix of the snapshot file (version-bearing): the first line
+/// is this prefix followed by the artifact-kind name. Bumped to v2 with
+/// the per-branch re-keying of the since-dropped link-graph/presentation/
+/// homology snapshots; v1 snapshots are rejected (degrading to
+/// recompute), never reinterpreted.
 const MAGIC_PREFIX: &str = "chromata-snap v2 ";
 
 /// Environment variable read (via [`govern::env_string`], rule D2) by
@@ -222,9 +230,9 @@ pub fn store_read_through() -> bool {
 
 /// A persistence failure: which protocol step failed, on which path,
 /// and the underlying message. Saving aborts on the first error (the
-/// per-file atomic protocol keeps everything already on disk
-/// consistent); loading never raises this — corruption degrades to
-/// recovery counters instead.
+/// atomic protocol keeps the previous snapshot on disk intact); loading
+/// never raises this — corruption degrades to recovery counters
+/// instead.
 #[derive(Clone, Debug)]
 pub struct PersistError {
     /// Protocol step that failed (`create-dir`, `encode`, `write-tmp`,
@@ -263,28 +271,26 @@ impl std::error::Error for PersistError {}
 /// What a successful [`persist_now`] wrote.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct SaveReport {
-    /// Snapshot files written (one per artifact kind).
+    /// Snapshot files written (the verdict snapshot: always 1).
     pub files_written: usize,
-    /// Cache entries persisted across all kinds.
+    /// Verdict-cache entries persisted.
     pub entries_written: u64,
-    /// Entries excluded as budget-dependent (never memoized on disk).
-    pub entries_skipped: u64,
 }
 
-/// What a [`warm_start`] / [`load_cache_dir`] recovered, summed across
-/// every artifact kind. The same per-cause counters also land in each
-/// cache's [`DecisionCacheStats`](super::cache::DecisionCacheStats).
+/// What a [`warm_start`] / [`load_cache_dir`] recovered from the verdict
+/// snapshot. The same per-cause counters also land in the verdict
+/// cache's [`DecisionCacheStats`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct LoadReport {
-    /// Entries restored intact into the stage caches.
+    /// Entries restored intact into the verdict cache.
     pub restored: u64,
     /// Whole snapshot files discarded (bad magic/version/header/read).
     pub rejected_snapshots: u64,
     /// Truncated trailing records skipped (torn writes).
     pub torn_entries: u64,
-    /// Complete-looking records skipped (checksum/payload/admissibility).
+    /// Complete-looking records skipped (checksum/payload).
     pub corrupt_entries: u64,
-    /// Kinds with no snapshot file at all (a fresh directory).
+    /// Snapshot files absent (1 for a fresh directory, else 0).
     pub missing: usize,
 }
 
@@ -318,20 +324,16 @@ fn push_record(out: &mut String, tag: char, payload: &str) {
     out.push('\n');
 }
 
-/// Renders a full snapshot body for one cache: magic, header, entries
-/// in insertion (eviction) order, filtered by `keep`.
-fn render_snapshot<K: Serialize, V: Serialize>(
-    kind: ArtifactKind,
+/// Renders the full snapshot body: magic, header, entries in insertion
+/// (eviction) order.
+fn render_snapshot(
     capacity: usize,
-    stats: super::cache::DecisionCacheStats,
-    entries: &[(K, V)],
-    keep: impl Fn(&K, &V) -> bool,
-    skipped: &mut u64,
-    written: &mut u64,
+    stats: DecisionCacheStats,
+    entries: &[VerdictEntry],
 ) -> Result<String, String> {
     let mut out = String::new();
     out.push_str(MAGIC_PREFIX);
-    out.push_str(kind.name());
+    out.push_str(KIND.name());
     out.push('\n');
     let header = serde_json::to_string(&vec![
         capacity as u64,
@@ -341,14 +343,9 @@ fn render_snapshot<K: Serialize, V: Serialize>(
     ])
     .map_err(|e| format!("header: {e}"))?;
     push_record(&mut out, 'H', &header);
-    for (k, v) in entries {
-        if !keep(k, v) {
-            *skipped += 1;
-            continue;
-        }
-        let payload = serde_json::to_string(&(k, v)).map_err(|e| format!("entry: {e}"))?;
+    for entry in entries {
+        let payload = serde_json::to_string(entry).map_err(|e| format!("entry: {e}"))?;
         push_record(&mut out, 'E', &payload);
-        *written += 1;
     }
     Ok(out)
 }
@@ -358,12 +355,12 @@ fn render_snapshot<K: Serialize, V: Serialize>(
 // ---------------------------------------------------------------------------
 
 /// A decoded snapshot: everything recoverable plus what was skipped.
-struct ParsedSnapshot<K, V> {
+struct ParsedSnapshot {
     capacity: usize,
     hits: u64,
     misses: u64,
     evictions: u64,
-    entries: Vec<(K, V)>,
+    entries: Vec<VerdictEntry>,
     torn_entries: u64,
     corrupt_entries: u64,
     issues: Vec<String>,
@@ -398,7 +395,7 @@ fn parse_tagged_line(line: &[u8], tag: u8) -> Result<(u64, &[u8]), String> {
 }
 
 /// Verifies and decodes one tagged record's payload as JSON.
-fn decode_record<'a, T: Deserialize<'a>>(line: &'a [u8], tag: u8) -> Result<T, String> {
+fn decode_record<'a, T: serde::Deserialize<'a>>(line: &'a [u8], tag: u8) -> Result<T, String> {
     let (stated, payload) = parse_tagged_line(line, tag)?;
     let actual = fnv1a(payload);
     if stated != actual {
@@ -413,18 +410,10 @@ fn decode_record<'a, T: Deserialize<'a>>(line: &'a [u8], tag: u8) -> Result<T, S
 /// Parses a whole snapshot body. `Err` rejects the snapshot outright
 /// (nothing before a valid header is trustworthy); after a valid
 /// header, every failure degrades to a per-entry recovery counter.
-fn parse_snapshot<K, V>(
-    kind: ArtifactKind,
-    bytes: &[u8],
-    admissible: &dyn Fn(&K, &V) -> bool,
-) -> Result<ParsedSnapshot<K, V>, String>
-where
-    K: for<'de> Deserialize<'de>,
-    V: for<'de> Deserialize<'de>,
-{
+fn parse_snapshot(bytes: &[u8]) -> Result<ParsedSnapshot, String> {
     let (lines, tail) = split_lines(bytes);
     let mut complete = lines.iter();
-    let magic = format!("{MAGIC_PREFIX}{}", kind.name());
+    let magic = format!("{MAGIC_PREFIX}{}", KIND.name());
     match complete.next() {
         None if tail.is_some() => return Err("truncated before the magic line".to_owned()),
         None => return Err("empty snapshot".to_owned()),
@@ -457,14 +446,8 @@ where
         issues: Vec::new(),
     };
     for (index, line) in complete.enumerate() {
-        match decode_record::<(K, V)>(line, b'E') {
-            Ok((k, v)) if admissible(&k, &v) => parsed.entries.push((k, v)),
-            Ok(_) => {
-                parsed.corrupt_entries += 1;
-                parsed.issues.push(format!(
-                    "entry {index}: inadmissible artifact (budget-dependent)"
-                ));
-            }
+        match decode_record(line, b'E') {
+            Ok(entry) => parsed.entries.push(entry),
             Err(why) => {
                 parsed.corrupt_entries += 1;
                 parsed.issues.push(format!("entry {index}: {why}"));
@@ -480,39 +463,37 @@ where
     Ok(parsed)
 }
 
+/// Reads and parses the snapshot in `dir`: `None` when there is no
+/// snapshot file, `Err` when the whole file must be rejected.
+fn read_snapshot(dir: &Path, io: &dyn PersistIo) -> Option<Result<ParsedSnapshot, String>> {
+    match io.read(&snapshot_path(dir, KIND)) {
+        Ok(Some(bytes)) => Some(parse_snapshot(&bytes)),
+        Ok(None) => None,
+        Err(e) => Some(Err(format!("unreadable: {e}"))),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Save / load over an ArtifactStore
 // ---------------------------------------------------------------------------
 
-/// Snapshots one cache to disk with the durable write protocol.
-fn save_one<K, V>(
-    cache: &SharedCache<K, V>,
-    kind: ArtifactKind,
+/// Snapshots the verdict cache of `store` into `dir` with the durable
+/// write protocol. On an I/O failure the previous snapshot stays valid.
+pub(crate) fn save_store(
+    store: &ArtifactStore,
     dir: &Path,
     io: &dyn PersistIo,
-    keep: impl Fn(&K, &V) -> bool,
-    report: &mut SaveReport,
-) -> Result<(), PersistError>
-where
-    K: Clone + Eq + Hash + Serialize,
-    V: Clone + Serialize,
-{
+) -> Result<SaveReport, PersistError> {
+    io.create_dir_all(dir)
+        .map_err(|e| PersistError::new("create-dir", dir, e))?;
     let (capacity, stats, entries) = {
-        let guard = cache.lock();
+        let guard = store.verdict.lock();
         (guard.capacity(), guard.stats(), guard.entries_in_order())
     };
-    let target = snapshot_path(dir, kind);
-    let body = render_snapshot(
-        kind,
-        capacity,
-        stats,
-        &entries,
-        keep,
-        &mut report.entries_skipped,
-        &mut report.entries_written,
-    )
-    .map_err(|e| PersistError::new("encode", &target, e))?;
-    let tmp = tmp_path(dir, kind);
+    let target = snapshot_path(dir, KIND);
+    let body = render_snapshot(capacity, stats, &entries)
+        .map_err(|e| PersistError::new("encode", &target, e))?;
+    let tmp = tmp_path(dir, KIND);
     io.write_tmp(&tmp, body.as_bytes())
         .map_err(|e| PersistError::new("write-tmp", &tmp, e))?;
     io.sync_tmp(&tmp)
@@ -521,187 +502,53 @@ where
         .map_err(|e| PersistError::new("rename", &target, e))?;
     io.sync_dir(dir)
         .map_err(|e| PersistError::new("sync-dir", dir, e))?;
-    report.files_written += 1;
-    Ok(())
+    Ok(SaveReport {
+        files_written: 1,
+        entries_written: entries.len() as u64,
+    })
 }
 
-/// Restores one cache from its snapshot file; every failure mode
-/// degrades to recovery counters on that cache's stats.
-fn load_one<K, V>(
-    cache: &SharedCache<K, V>,
-    kind: ArtifactKind,
-    dir: &Path,
-    io: &dyn PersistIo,
-    admissible: &dyn Fn(&K, &V) -> bool,
-    report: &mut LoadReport,
-) where
-    K: Clone + Eq + Hash + for<'de> Deserialize<'de>,
-    V: Clone + for<'de> Deserialize<'de>,
-{
-    let path = snapshot_path(dir, kind);
-    let bytes = match io.read(&path) {
-        Ok(Some(bytes)) => bytes,
-        Ok(None) => {
-            report.missing += 1;
-            return;
-        }
-        Err(_) => {
-            report.rejected_snapshots += 1;
-            cache.lock().stats_mut().rejected_snapshots += 1;
-            return;
-        }
-    };
-    match parse_snapshot(kind, &bytes, admissible) {
-        Err(_) => {
-            report.rejected_snapshots += 1;
-            cache.lock().stats_mut().rejected_snapshots += 1;
-        }
-        Ok(parsed) => {
-            let mut guard = cache.lock();
-            guard.set_capacity(parsed.capacity);
-            {
-                let stats = guard.stats_mut();
-                // The snapshot header predates the `lookups` counter, so
-                // the merged lookups are reconstructed from the invariant
-                // `lookups == hits + misses` to keep coherence observable
-                // across warm starts.
-                stats.lookups += parsed.hits + parsed.misses;
-                stats.hits += parsed.hits;
-                stats.misses += parsed.misses;
-                stats.evictions += parsed.evictions;
-                stats.torn_entries += parsed.torn_entries;
-                stats.corrupt_entries += parsed.corrupt_entries;
-            }
-            report.restored += parsed.entries.len() as u64;
-            report.torn_entries += parsed.torn_entries;
-            report.corrupt_entries += parsed.corrupt_entries;
-            for (k, v) in parsed.entries {
-                guard.restore_entry(k, v);
-            }
-        }
-    }
-}
-
-/// Keep-filter for the exploration cache: only budget-independent
-/// reports may cross a process boundary.
-fn exploration_admissible(_k: &(Task, usize), v: &std::sync::Arc<ExplorationReport>) -> bool {
-    v.budget_independent
-}
-
-/// Snapshots every stage cache of `store` into `dir`. Aborts on the
-/// first I/O failure — files already renamed stay valid, files not yet
-/// rewritten keep their previous valid contents.
-pub(crate) fn save_store(
-    store: &ArtifactStore,
-    dir: &Path,
-    io: &dyn PersistIo,
-) -> Result<SaveReport, PersistError> {
-    io.create_dir_all(dir)
-        .map_err(|e| PersistError::new("create-dir", dir, e))?;
-    let mut report = SaveReport::default();
-    save_one(
-        &store.split,
-        ArtifactKind::Split,
-        dir,
-        io,
-        |_, _| true,
-        &mut report,
-    )?;
-    save_one(
-        &store.links,
-        ArtifactKind::LinkGraphs,
-        dir,
-        io,
-        |_, _| true,
-        &mut report,
-    )?;
-    save_one(
-        &store.presentations,
-        ArtifactKind::Presentations,
-        dir,
-        io,
-        |_, _| true,
-        &mut report,
-    )?;
-    save_one(
-        &store.homology,
-        ArtifactKind::Homology,
-        dir,
-        io,
-        |_, _| true,
-        &mut report,
-    )?;
-    save_one(
-        &store.exploration,
-        ArtifactKind::Exploration,
-        dir,
-        io,
-        exploration_admissible,
-        &mut report,
-    )?;
-    save_one(
-        &store.verdict,
-        ArtifactKind::Verdict,
-        dir,
-        io,
-        |_, _| true,
-        &mut report,
-    )?;
-    Ok(report)
-}
-
-/// Restores every stage cache of `store` from the snapshots in `dir`.
+/// Restores the verdict cache of `store` from the snapshot in `dir`.
 /// Never fails: every corruption mode degrades to recovery counters.
 pub(crate) fn load_store(store: &ArtifactStore, dir: &Path, io: &dyn PersistIo) -> LoadReport {
-    let mut report = LoadReport::default();
-    load_one(
-        &store.split,
-        ArtifactKind::Split,
-        dir,
-        io,
-        &|_, _| true,
-        &mut report,
-    );
-    load_one(
-        &store.links,
-        ArtifactKind::LinkGraphs,
-        dir,
-        io,
-        &|_, _| true,
-        &mut report,
-    );
-    load_one(
-        &store.presentations,
-        ArtifactKind::Presentations,
-        dir,
-        io,
-        &|_, _| true,
-        &mut report,
-    );
-    load_one(
-        &store.homology,
-        ArtifactKind::Homology,
-        dir,
-        io,
-        &|_, _| true,
-        &mut report,
-    );
-    load_one(
-        &store.exploration,
-        ArtifactKind::Exploration,
-        dir,
-        io,
-        &exploration_admissible,
-        &mut report,
-    );
-    load_one(
-        &store.verdict,
-        ArtifactKind::Verdict,
-        dir,
-        io,
-        &|_, _| true,
-        &mut report,
-    );
+    let cache = &store.verdict;
+    let Some(parsed) = read_snapshot(dir, io) else {
+        return LoadReport {
+            missing: 1,
+            ..LoadReport::default()
+        };
+    };
+    let Ok(parsed) = parsed else {
+        cache.lock().stats_mut().rejected_snapshots += 1;
+        return LoadReport {
+            rejected_snapshots: 1,
+            ..LoadReport::default()
+        };
+    };
+    let mut guard = cache.lock();
+    guard.set_capacity(parsed.capacity);
+    {
+        let stats = guard.stats_mut();
+        // The snapshot header predates the `lookups` counter, so the
+        // merged lookups are reconstructed from the invariant
+        // `lookups == hits + misses` to keep coherence observable across
+        // warm starts.
+        stats.lookups += parsed.hits + parsed.misses;
+        stats.hits += parsed.hits;
+        stats.misses += parsed.misses;
+        stats.evictions += parsed.evictions;
+        stats.torn_entries += parsed.torn_entries;
+        stats.corrupt_entries += parsed.corrupt_entries;
+    }
+    let report = LoadReport {
+        restored: parsed.entries.len() as u64,
+        torn_entries: parsed.torn_entries,
+        corrupt_entries: parsed.corrupt_entries,
+        ..LoadReport::default()
+    };
+    for (k, v) in parsed.entries {
+        guard.restore_entry(k, v);
+    }
     report
 }
 
@@ -709,7 +556,7 @@ pub(crate) fn load_store(store: &ArtifactStore, dir: &Path, io: &dyn PersistIo) 
 // Public configuration + entry points
 // ---------------------------------------------------------------------------
 
-/// Where (and whether) to persist the stage caches. Disabled by
+/// Where (and whether) to persist the verdict cache. Disabled by
 /// default; enabled by an explicit directory (`--cache-dir`) or the
 /// `CHROMATA_CACHE_DIR` environment variable.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
@@ -802,11 +649,11 @@ pub fn load_cache_dir(config: &CacheDirConfig) -> Option<LoadReport> {
     Some(load_store(store(), dir, current_io().as_ref()))
 }
 
-/// Snapshots the process-wide store into the configured cache
+/// Snapshots the process-wide verdict cache into the configured cache
 /// directory. `None` when persistence is disabled.
 ///
 /// A failed save is counted in [`persist_failures`] and flips the store
-/// into read-through mode ([`store_read_through`]); the per-file atomic
+/// into read-through mode ([`store_read_through`]); the atomic
 /// protocol guarantees the previous snapshot is still intact on disk,
 /// so serving continues unharmed and the next cadence retries.
 pub fn persist_now(config: &CacheDirConfig) -> Option<Result<SaveReport, PersistError>> {
@@ -826,10 +673,10 @@ pub fn persist_now(config: &CacheDirConfig) -> Option<Result<SaveReport, Persist
 // Offline audit + maintenance
 // ---------------------------------------------------------------------------
 
-/// Integrity status of one kind's snapshot file.
+/// Integrity status of the verdict snapshot file.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SnapshotStatus {
-    /// No snapshot file exists for this kind.
+    /// No snapshot file exists.
     Missing,
     /// The snapshot decoded (possibly with skipped entries — check the
     /// recovery counters).
@@ -856,7 +703,7 @@ impl fmt::Display for SnapshotStatus {
     }
 }
 
-/// The offline integrity report for one kind's snapshot, produced by
+/// The offline integrity report for the verdict snapshot, produced by
 /// [`audit_cache_dir`] without touching the process-wide store.
 #[derive(Clone, Debug)]
 pub struct SnapshotAudit {
@@ -864,7 +711,7 @@ pub struct SnapshotAudit {
     pub kind: ArtifactKind,
     /// Whole-file status.
     pub status: SnapshotStatus,
-    /// Fully decoded, admissible entries.
+    /// Fully decoded entries.
     pub entries: u64,
     /// The capacity recorded in the header.
     pub capacity: usize,
@@ -876,7 +723,7 @@ pub struct SnapshotAudit {
     pub evictions: u64,
     /// Torn trailing records detected.
     pub torn_entries: u64,
-    /// Corrupt (checksum/payload/admissibility) records detected.
+    /// Corrupt (checksum/payload) records detected.
     pub corrupt_entries: u64,
     /// Human-readable descriptions of every problem found.
     pub issues: Vec<String>,
@@ -893,9 +740,9 @@ impl SnapshotAudit {
     }
 }
 
-fn empty_audit(kind: ArtifactKind, status: SnapshotStatus) -> SnapshotAudit {
+fn empty_audit(status: SnapshotStatus) -> SnapshotAudit {
     SnapshotAudit {
-        kind,
+        kind: KIND,
         status,
         entries: 0,
         capacity: 0,
@@ -908,35 +755,20 @@ fn empty_audit(kind: ArtifactKind, status: SnapshotStatus) -> SnapshotAudit {
     }
 }
 
-/// Typed offline audit of one kind's snapshot.
-fn audit_one<K, V>(
-    kind: ArtifactKind,
-    dir: &Path,
-    io: &dyn PersistIo,
-    admissible: &dyn Fn(&K, &V) -> bool,
-) -> SnapshotAudit
-where
-    K: for<'de> Deserialize<'de>,
-    V: for<'de> Deserialize<'de>,
-{
-    let path = snapshot_path(dir, kind);
-    let bytes = match io.read(&path) {
-        Ok(Some(bytes)) => bytes,
-        Ok(None) => return empty_audit(kind, SnapshotStatus::Missing),
-        Err(e) => {
-            let mut audit = empty_audit(kind, SnapshotStatus::Rejected);
-            audit.issues.push(format!("unreadable: {e}"));
-            return audit;
-        }
-    };
-    match parse_snapshot(kind, &bytes, admissible) {
-        Err(why) => {
-            let mut audit = empty_audit(kind, SnapshotStatus::Rejected);
+/// Audits the verdict snapshot in `dir` offline — full typed decode and
+/// checksum verification — without loading anything into the
+/// process-wide store.
+#[must_use]
+pub fn audit_cache_dir(dir: &Path) -> SnapshotAudit {
+    match read_snapshot(dir, &RealIo) {
+        None => empty_audit(SnapshotStatus::Missing),
+        Some(Err(why)) => {
+            let mut audit = empty_audit(SnapshotStatus::Rejected);
             audit.issues.push(why);
             audit
         }
-        Ok(parsed) => SnapshotAudit {
-            kind,
+        Some(Ok(parsed)) => SnapshotAudit {
+            kind: KIND,
             status: SnapshotStatus::Valid,
             entries: parsed.entries.len() as u64,
             capacity: parsed.capacity,
@@ -950,49 +782,10 @@ where
     }
 }
 
-fn audit_kind(kind: ArtifactKind, dir: &Path, io: &dyn PersistIo) -> SnapshotAudit {
-    use std::sync::Arc;
-
-    use super::artifacts::{HomologyReport, LinkGraphs, Presentations, SubdividedComplex};
-    use super::DecisionRecord;
-
-    match kind {
-        ArtifactKind::Split => {
-            audit_one::<Task, Arc<SubdividedComplex>>(kind, dir, io, &|_, _| true)
-        }
-        ArtifactKind::LinkGraphs => audit_one::<Task, Arc<LinkGraphs>>(kind, dir, io, &|_, _| true),
-        ArtifactKind::Presentations => {
-            audit_one::<Task, Arc<Presentations>>(kind, dir, io, &|_, _| true)
-        }
-        ArtifactKind::Homology => {
-            audit_one::<Vec<Task>, Arc<HomologyReport>>(kind, dir, io, &|_, _| true)
-        }
-        ArtifactKind::Exploration => audit_one::<(Task, usize), Arc<ExplorationReport>>(
-            kind,
-            dir,
-            io,
-            &exploration_admissible,
-        ),
-        ArtifactKind::Verdict => {
-            audit_one::<(Task, usize), DecisionRecord>(kind, dir, io, &|_, _| true)
-        }
-    }
-}
-
-/// Audits every snapshot in `dir` offline — full typed decode, checksum
-/// verification, admissibility checks — without loading anything into
-/// the process-wide store. One report per artifact kind, in the fixed
-/// reporting order.
-#[must_use]
-pub fn audit_cache_dir(dir: &Path) -> Vec<SnapshotAudit> {
-    ALL_KINDS
-        .iter()
-        .map(|&kind| audit_kind(kind, dir, &RealIo))
-        .collect()
-}
-
 /// Removes every snapshot (and stray temp file) in `dir`, returning how
-/// many files were deleted. The directory itself is kept.
+/// many files were deleted. The directory itself is kept. Snapshots of
+/// every artifact kind are removed, including the five a six-file
+/// directory from before verdict-only persistence still holds.
 pub fn clear_cache_dir(dir: &Path) -> Result<usize, PersistError> {
     let io = RealIo;
     let mut removed = 0;
@@ -1012,22 +805,27 @@ pub fn clear_cache_dir(dir: &Path) -> Result<usize, PersistError> {
     Ok(removed)
 }
 
+/// Serializes the in-crate tests that snapshot the process-wide store
+/// through [`persist_now`]: one of them installs the process-wide chaos
+/// seam, which must not fire on another test's save.
+#[cfg(test)]
+pub(crate) fn persist_now_test_guard() -> std::sync::MutexGuard<'static, ()> {
+    static GUARD: Mutex<()> = Mutex::new(());
+    GUARD.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use std::cell::Cell;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
 
     use proptest::prelude::*;
 
     use chromata_task::library::{constant_task, identity_task, two_set_agreement};
 
-    use super::super::artifacts::{HomologyReport, LinkGraphs, Presentations, SubdividedComplex};
-    use super::super::{DecisionRecord, StageTrace};
+    use super::super::StageTrace;
     use super::*;
-    use crate::continuous::continuous_map_exists_with;
     use crate::pipeline::Verdict;
-    use crate::splitting::split_all;
 
     // -- fixtures ----------------------------------------------------------
 
@@ -1039,39 +837,6 @@ mod tests {
             std::env::temp_dir().join(format!("chromata-persist-{}-{tag}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
-    }
-
-    type Built = (
-        Arc<SubdividedComplex>,
-        Arc<LinkGraphs>,
-        Arc<Presentations>,
-        Arc<HomologyReport>,
-    );
-
-    /// Real pipeline artifacts for `task`, built the way the stages do.
-    fn artifacts_for(task: &chromata_task::Task) -> Built {
-        let split = Arc::new(SubdividedComplex {
-            split: split_all(task),
-        });
-        let links = Arc::new(LinkGraphs::build(&split.split.task));
-        let pres = Arc::new(Presentations::build(&split.split.task, &links));
-        let (outcome, assignments) = continuous_map_exists_with(&links, &pres);
-        let hom = Arc::new(HomologyReport {
-            outcome,
-            assignments,
-        });
-        (split, links, pres, hom)
-    }
-
-    fn exploration(budget_independent: bool) -> Arc<ExplorationReport> {
-        Arc::new(ExplorationReport {
-            verdict: Verdict::Unknown {
-                reason: "exploration exhausted".to_owned(),
-            },
-            nodes: 17,
-            rounds_cap: 3,
-            budget_independent,
-        })
     }
 
     fn record() -> DecisionRecord {
@@ -1088,19 +853,10 @@ mod tests {
         }
     }
 
-    /// A private store seeded with real artifacts for `tasks`.
+    /// A private store with one verdict record per task.
     fn seeded_store_with(capacity: usize, tasks: &[chromata_task::Task]) -> ArtifactStore {
         let store = ArtifactStore::with_capacity(capacity);
         for task in tasks {
-            let (s, l, p, h) = artifacts_for(task);
-            store.split.lock().insert(task.clone(), s);
-            store.links.lock().insert(task.clone(), l);
-            store.presentations.lock().insert(task.clone(), p);
-            store.homology.lock().insert(vec![task.clone()], h);
-            store
-                .exploration
-                .lock()
-                .insert((task.clone(), 5), exploration(true));
             store.verdict.lock().insert((task.clone(), 5), record());
         }
         store
@@ -1110,16 +866,8 @@ mod tests {
         seeded_store_with(capacity, &[two_set_agreement(), constant_task(2)])
     }
 
-    fn snapshot_bytes(dir: &Path) -> Vec<(ArtifactKind, Vec<u8>)> {
-        ALL_KINDS
-            .iter()
-            .map(|&kind| {
-                (
-                    kind,
-                    std::fs::read(snapshot_path(dir, kind)).expect("snapshot exists"),
-                )
-            })
-            .collect()
+    fn snapshot_bytes(dir: &Path) -> Vec<u8> {
+        std::fs::read(snapshot_path(dir, KIND)).expect("snapshot exists")
     }
 
     // -- round trips -------------------------------------------------------
@@ -1129,19 +877,23 @@ mod tests {
         let store = seeded_store(8);
         let dir = test_dir("roundtrip");
         let report = save_store(&store, &dir, &RealIo).expect("save");
-        assert_eq!(report.files_written, 6);
-        assert_eq!(report.entries_written, 12);
-        assert_eq!(report.entries_skipped, 0);
+        assert_eq!(report.files_written, 1);
+        assert_eq!(report.entries_written, 2);
+        let written: Vec<_> = std::fs::read_dir(&dir)
+            .expect("list")
+            .map(|e| e.expect("entry").file_name())
+            .collect();
+        assert_eq!(written, ["verdict.snap"], "only the verdict is persisted");
 
         // Load into a store with a *different* capacity: the snapshot's
         // capacity must win, and a re-save must be byte-identical.
         let fresh = ArtifactStore::with_capacity(99);
         let load = load_store(&fresh, &dir, &RealIo);
-        assert_eq!(load.restored, 12);
+        assert_eq!(load.restored, 2);
         assert_eq!(load.recovery_events(), 0);
         assert_eq!(load.missing, 0);
         assert_eq!(fresh.verdict.lock().capacity(), 8);
-        assert_eq!(fresh.split.lock().capacity(), 8);
+        assert_eq!(fresh.split.lock().capacity(), 99, "other caches untouched");
 
         let dir2 = test_dir("roundtrip-resave");
         save_store(&fresh, &dir2, &RealIo).expect("re-save");
@@ -1215,30 +967,20 @@ mod tests {
 
     #[test]
     fn serialization_is_independent_of_construction_order() {
-        // Build the same artifacts in opposite orders: the serialized
-        // form must not depend on global interning history.
-        let a1 = artifacts_for(&two_set_agreement());
-        let b1 = artifacts_for(&constant_task(2));
-        let b2 = artifacts_for(&constant_task(2));
-        let a2 = artifacts_for(&two_set_agreement());
-        for (x, y) in [(&a1, &a2), (&b1, &b2)] {
-            assert_eq!(
-                serde_json::to_string(&x.0).expect("ser"),
-                serde_json::to_string(&y.0).expect("ser")
-            );
-            assert_eq!(
-                serde_json::to_string(&x.1).expect("ser"),
-                serde_json::to_string(&y.1).expect("ser")
-            );
-            assert_eq!(
-                serde_json::to_string(&x.2).expect("ser"),
-                serde_json::to_string(&y.2).expect("ser")
-            );
-            assert_eq!(
-                serde_json::to_string(&x.3).expect("ser"),
-                serde_json::to_string(&y.3).expect("ser")
-            );
-        }
+        // Build the same verdict keys in opposite orders: the snapshot
+        // bytes must not depend on global interning history.
+        let a1 = two_set_agreement();
+        let b1 = constant_task(2);
+        let b2 = constant_task(2);
+        let a2 = two_set_agreement();
+        let first = seeded_store_with(4, &[a1, b1]);
+        let second = seeded_store_with(4, &[a2, b2]);
+        let (d1, d2) = (test_dir("order-a"), test_dir("order-b"));
+        save_store(&first, &d1, &RealIo).expect("save");
+        save_store(&second, &d2, &RealIo).expect("save");
+        assert_eq!(snapshot_bytes(&d1), snapshot_bytes(&d2));
+        let _ = std::fs::remove_dir_all(&d1);
+        let _ = std::fs::remove_dir_all(&d2);
     }
 
     proptest! {
@@ -1294,18 +1036,18 @@ mod tests {
         store.verdict.lock().insert((identity_task(2), 1), record());
         let dir = test_dir("torn-src");
         save_store(&store, &dir, &RealIo).expect("save");
-        let full = std::fs::read(snapshot_path(&dir, ArtifactKind::Verdict)).expect("read");
+        let full = snapshot_bytes(&dir);
         let _ = std::fs::remove_dir_all(&dir);
 
         let work = test_dir("torn");
         std::fs::create_dir_all(&work).expect("mkdir");
-        let target = snapshot_path(&work, ArtifactKind::Verdict);
+        let target = snapshot_path(&work, KIND);
         for cut in 0..=full.len() {
             let prefix = &full[..cut];
             std::fs::write(&target, prefix).expect("write truncated");
             let fresh = ArtifactStore::with_capacity(4);
             let report = load_store(&fresh, &work, &RealIo);
-            assert_eq!(report.missing, 5, "only verdict.snap exists (cut {cut})");
+            assert_eq!(report.missing, 0, "verdict.snap exists (cut {cut})");
 
             let newlines = prefix.iter().filter(|&&b| b == b'\n').count();
             let torn_tail = !prefix.is_empty() && *prefix.last().expect("nonempty") != b'\n';
@@ -1450,8 +1192,9 @@ mod tests {
         }
     }
 
-    /// Operations a full save performs: 1 create-dir + 4 per kind.
-    const SAVE_OPS: u64 = 1 + 4 * 6;
+    /// Operations a full save performs: create-dir, write-tmp, sync-tmp,
+    /// rename, sync-dir.
+    const SAVE_OPS: u64 = 5;
 
     #[test]
     fn every_errorkind_at_every_killpoint_leaves_store_consistent() {
@@ -1502,17 +1245,13 @@ mod tests {
                 let result = save_store(&new_store, &work, &io);
                 assert!(result.is_err(), "op {trigger} under {mode:?} must fail");
 
-                // Crash-consistency: every kind's file is wholly the old
-                // or wholly the new snapshot — never a mix, never torn.
-                for (i, &(kind, ref old)) in old_bytes.iter().enumerate() {
-                    let on_disk =
-                        std::fs::read(snapshot_path(&work, kind)).expect("snapshot survives");
-                    let (_, ref new) = new_bytes[i];
-                    assert!(
-                        &on_disk == old || &on_disk == new,
-                        "{kind} is a hybrid after faulting op {trigger} ({mode:?})"
-                    );
-                }
+                // Crash-consistency: the file is wholly the old or wholly
+                // the new snapshot — never a mix, never torn.
+                let on_disk = snapshot_bytes(&work);
+                assert!(
+                    on_disk == old_bytes || on_disk == new_bytes,
+                    "verdict.snap is a hybrid after faulting op {trigger} ({mode:?})"
+                );
                 // And a paranoid load sees zero corruption.
                 let fresh = ArtifactStore::with_capacity(8);
                 let report = load_store(&fresh, &work, &RealIo);
@@ -1540,8 +1279,8 @@ mod tests {
     fn enospc_mid_snapshot_keeps_the_old_snapshot_at_every_op() {
         // Disk-full at every possible point of the save protocol: the
         // previous snapshot must stay wholly intact (old or complete
-        // new per file, never torn), a paranoid load must be clean, and
-        // the next cadence with space back must converge exactly.
+        // new, never torn), a paranoid load must be clean, and the next
+        // cadence with space back must converge exactly.
         let old_store = seeded_store_with(8, &[two_set_agreement()]);
         let new_store = seeded_store_with(8, &[two_set_agreement(), identity_task(2)]);
         let old_dir = test_dir("enospc-old");
@@ -1559,14 +1298,11 @@ mod tests {
             let io = FaultIo::new(trigger, IoFaultMode::Error(io::ErrorKind::StorageFull));
             save_store(&new_store, &work, &io).expect_err("disk full must fail the save");
 
-            for (i, &(kind, ref old)) in old_bytes.iter().enumerate() {
-                let on_disk = std::fs::read(snapshot_path(&work, kind)).expect("snapshot survives");
-                let (_, ref new) = new_bytes[i];
-                assert!(
-                    &on_disk == old || &on_disk == new,
-                    "{kind} torn after ENOSPC at op {trigger}"
-                );
-            }
+            let on_disk = snapshot_bytes(&work);
+            assert!(
+                on_disk == old_bytes || on_disk == new_bytes,
+                "verdict.snap torn after ENOSPC at op {trigger}"
+            );
             let fresh = ArtifactStore::with_capacity(8);
             let report = load_store(&fresh, &work, &RealIo);
             assert_eq!(report.recovery_events(), 0, "ENOSPC at op {trigger}");
@@ -1584,6 +1320,7 @@ mod tests {
     fn enospc_through_the_chaos_seam_degrades_and_heals_persist_now() {
         use super::super::chaos::{PersistChaos, PersistFault};
 
+        let _guard = persist_now_test_guard();
         let dir = test_dir("enospc-seam");
         let config = CacheDirConfig::resolve(Some(dir.clone()));
 
@@ -1607,9 +1344,8 @@ mod tests {
 
         // The on-disk state is still a clean, loadable snapshot.
         PersistChaos::uninstall();
-        for audit in audit_cache_dir(&dir) {
-            assert!(audit.is_clean(), "unclean after ENOSPC: {audit:?}");
-        }
+        let audit = audit_cache_dir(&dir);
+        assert!(audit.is_clean(), "unclean after ENOSPC: {audit:?}");
 
         // Fault cleared: the next cadence succeeds and clears the flag.
         persist_now(&config)
@@ -1625,15 +1361,18 @@ mod tests {
         let dir = test_dir("read-fail");
         save_store(&store, &dir, &RealIo).expect("save");
 
-        // Op 0 is the first read (the split snapshot).
+        // Op 0 is the one read (the verdict snapshot).
         let io = FaultIo::new(0, IoFaultMode::Error(io::ErrorKind::PermissionDenied));
         let fresh = ArtifactStore::with_capacity(4);
         let report = load_store(&fresh, &dir, &io);
         assert_eq!(report.rejected_snapshots, 1);
-        assert_eq!(fresh.split.lock().stats().rejected_snapshots, 1);
-        assert!(fresh.split.lock().is_empty());
-        // The other five kinds load normally.
-        assert_eq!(report.restored, 5);
+        assert_eq!(report.restored, 0);
+        assert_eq!(fresh.verdict.lock().stats().rejected_snapshots, 1);
+        assert!(fresh.verdict.lock().is_empty());
+        // The file itself is untouched: a healthy read restores it.
+        let report = load_store(&fresh, &dir, &RealIo);
+        assert_eq!(report.restored, 1);
+        assert_eq!(report.recovery_events(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1647,7 +1386,7 @@ mod tests {
         let dir = test_dir("flip");
         save_store(&store, &dir, &RealIo).expect("save");
 
-        let path = snapshot_path(&dir, ArtifactKind::Verdict);
+        let path = snapshot_path(&dir, KIND);
         let mut bytes = std::fs::read(&path).expect("read");
         // Flip one payload byte of the last entry record: 'E', space,
         // 16 hex digits, space — the payload starts 19 bytes in.
@@ -1683,7 +1422,7 @@ mod tests {
         let store = seeded_store_with(4, &[constant_task(2)]);
         let dir = test_dir("magic");
         save_store(&store, &dir, &RealIo).expect("save");
-        let path = snapshot_path(&dir, ArtifactKind::Homology);
+        let path = snapshot_path(&dir, KIND);
         let mut bytes = std::fs::read(&path).expect("read");
         bytes[0] ^= 0x20;
         std::fs::write(&path, &bytes).expect("rewrite");
@@ -1691,118 +1430,56 @@ mod tests {
         let fresh = ArtifactStore::with_capacity(4);
         let report = load_store(&fresh, &dir, &RealIo);
         assert_eq!(report.rejected_snapshots, 1);
-        assert!(fresh.homology.lock().is_empty());
-        assert_eq!(fresh.homology.lock().stats().rejected_snapshots, 1);
-        assert_eq!(report.restored, 5);
+        assert_eq!(report.restored, 0);
+        assert!(fresh.verdict.lock().is_empty());
+        assert_eq!(fresh.verdict.lock().stats().rejected_snapshots, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn old_version_snapshot_degrades_to_recompute() {
-        // A pre-re-keying (v1) snapshot must be rejected wholesale, not
-        // reinterpreted under the per-branch keys: the cost is a cold
-        // recompute, never a wrong verdict from an aliased artifact.
+        // A v1 snapshot must be rejected wholesale, not reinterpreted:
+        // the cost is a cold recompute, never a wrong verdict.
         let store = seeded_store_with(4, &[constant_task(2)]);
         let dir = test_dir("old-version");
         save_store(&store, &dir, &RealIo).expect("save");
-        for kind in ALL_KINDS {
-            let path = snapshot_path(&dir, kind);
-            let text = std::fs::read_to_string(&path).expect("read");
-            let downgraded = text.replacen("chromata-snap v2 ", "chromata-snap v1 ", 1);
-            assert_ne!(text, downgraded, "version token must be present");
-            std::fs::write(&path, downgraded).expect("rewrite");
-        }
+        let path = snapshot_path(&dir, KIND);
+        let text = std::fs::read_to_string(&path).expect("read");
+        let downgraded = text.replacen("chromata-snap v2 ", "chromata-snap v1 ", 1);
+        assert_ne!(text, downgraded, "version token must be present");
+        std::fs::write(&path, downgraded).expect("rewrite");
 
         let fresh = ArtifactStore::with_capacity(4);
         let report = load_store(&fresh, &dir, &RealIo);
-        assert_eq!(report.rejected_snapshots, ALL_KINDS.len() as u64);
+        assert_eq!(report.rejected_snapshots, 1);
         assert_eq!(report.restored, 0);
-        assert!(fresh.split.lock().is_empty());
-        assert!(fresh.links.lock().is_empty());
-        assert!(fresh.presentations.lock().is_empty());
-        assert!(fresh.homology.lock().is_empty());
-        assert!(fresh.exploration.lock().is_empty());
         assert!(fresh.verdict.lock().is_empty());
         // The degraded store re-saves as v2 and round-trips cleanly.
         save_store(&store, &dir, &RealIo).expect("re-save");
         let again = ArtifactStore::with_capacity(4);
         let report = load_store(&again, &dir, &RealIo);
         assert_eq!(report.rejected_snapshots, 0);
-        assert_eq!(report.restored, 6);
+        assert_eq!(report.restored, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn mismatched_kind_magic_is_rejected() {
-        // A verdict snapshot copied over the split snapshot must not
-        // load: the magic line binds the file to its kind.
+        // A snapshot of another kind copied over the verdict snapshot
+        // must not load: the magic line binds the file to its kind.
         let store = seeded_store_with(4, &[constant_task(2)]);
         let dir = test_dir("cross-kind");
         save_store(&store, &dir, &RealIo).expect("save");
-        std::fs::copy(
-            snapshot_path(&dir, ArtifactKind::Verdict),
-            snapshot_path(&dir, ArtifactKind::Split),
-        )
-        .expect("copy");
+        let path = snapshot_path(&dir, KIND);
+        let text = std::fs::read_to_string(&path).expect("read");
+        let split = text.replacen("chromata-snap v2 verdict", "chromata-snap v2 split", 1);
+        assert_ne!(text, split, "kind token must be present");
+        std::fs::write(&path, split).expect("rewrite");
         let fresh = ArtifactStore::with_capacity(4);
         let report = load_store(&fresh, &dir, &RealIo);
         assert_eq!(report.rejected_snapshots, 1);
-        assert!(fresh.split.lock().is_empty());
+        assert!(fresh.verdict.lock().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn budget_dependent_explorations_never_cross_the_disk() {
-        // Save side: filtered out and counted.
-        let store = ArtifactStore::with_capacity(4);
-        store
-            .exploration
-            .lock()
-            .insert((constant_task(2), 9), exploration(false));
-        store
-            .exploration
-            .lock()
-            .insert((constant_task(2), 5), exploration(true));
-        let dir = test_dir("budget-save");
-        let report = save_store(&store, &dir, &RealIo).expect("save");
-        assert_eq!(report.entries_skipped, 1);
-        assert_eq!(report.entries_written, 1);
-
-        // Load side: a forged snapshot carrying a budget-dependent
-        // report is classified corrupt, not restored.
-        let forged_dir = test_dir("budget-forge");
-        std::fs::create_dir_all(&forged_dir).expect("mkdir");
-        let (capacity, stats, entries) = {
-            let guard = store.exploration.lock();
-            (guard.capacity(), guard.stats(), guard.entries_in_order())
-        };
-        let mut skipped = 0;
-        let mut written = 0;
-        let body = render_snapshot(
-            ArtifactKind::Exploration,
-            capacity,
-            stats,
-            &entries,
-            |_, _| true, // forge: keep even the inadmissible one
-            &mut skipped,
-            &mut written,
-        )
-        .expect("render");
-        std::fs::write(snapshot_path(&forged_dir, ArtifactKind::Exploration), body).expect("write");
-        let fresh = ArtifactStore::with_capacity(4);
-        let load = load_store(&fresh, &forged_dir, &RealIo);
-        assert_eq!(load.corrupt_entries, 1);
-        assert_eq!(load.restored, 1);
-        let keys: Vec<_> = fresh
-            .exploration
-            .lock()
-            .entries_in_order()
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect();
-        assert_eq!(keys, vec![(constant_task(2), 5)]);
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&forged_dir);
     }
 
     // -- audit + clear -----------------------------------------------------
@@ -1813,17 +1490,15 @@ mod tests {
         let dir = test_dir("audit");
         save_store(&store, &dir, &RealIo).expect("save");
 
-        let audits = audit_cache_dir(&dir);
-        assert_eq!(audits.len(), 6);
-        for audit in &audits {
-            assert_eq!(audit.status, SnapshotStatus::Valid, "{}", audit.kind);
-            assert!(audit.is_clean(), "{}", audit.kind);
-            assert_eq!(audit.entries, 1, "{}", audit.kind);
-            assert_eq!(audit.capacity, 4, "{}", audit.kind);
-        }
+        let audit = audit_cache_dir(&dir);
+        assert_eq!(audit.kind, KIND);
+        assert_eq!(audit.status, SnapshotStatus::Valid);
+        assert!(audit.is_clean());
+        assert_eq!(audit.entries, 1);
+        assert_eq!(audit.capacity, 4);
 
-        // Flip a payload byte: the audit must flag exactly that kind.
-        let path = snapshot_path(&dir, ArtifactKind::Presentations);
+        // Flip a payload byte: the audit must flag it.
+        let path = snapshot_path(&dir, KIND);
         let mut bytes = std::fs::read(&path).expect("read");
         let last_e = bytes
             .windows(3)
@@ -1831,20 +1506,17 @@ mod tests {
             .expect("an entry record");
         bytes[last_e + 20] ^= 0x01;
         std::fs::write(&path, &bytes).expect("rewrite");
-        let audits = audit_cache_dir(&dir);
-        let flagged: Vec<_> = audits.iter().filter(|a| !a.is_clean()).collect();
-        assert_eq!(flagged.len(), 1);
-        assert_eq!(flagged[0].kind, ArtifactKind::Presentations);
-        assert_eq!(flagged[0].corrupt_entries, 1);
-        assert!(!flagged[0].issues.is_empty());
+        let audit = audit_cache_dir(&dir);
+        assert!(!audit.is_clean());
+        assert_eq!(audit.corrupt_entries, 1);
+        assert!(!audit.issues.is_empty());
 
-        // Clearing removes every snapshot; the audit then reads missing.
+        // Clearing removes the snapshot; the audit then reads missing.
         let removed = clear_cache_dir(&dir).expect("clear");
-        assert_eq!(removed, 6);
-        for audit in audit_cache_dir(&dir) {
-            assert_eq!(audit.status, SnapshotStatus::Missing);
-            assert!(audit.is_clean());
-        }
+        assert_eq!(removed, 1);
+        let audit = audit_cache_dir(&dir);
+        assert_eq!(audit.status, SnapshotStatus::Missing);
+        assert!(audit.is_clean());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1878,7 +1550,7 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let config = CacheDirConfig::at(&dir);
         let first = warm_start(&config).expect("first warm start loads");
-        assert_eq!(first.missing, 6, "empty directory: nothing to restore");
+        assert_eq!(first.missing, 1, "empty directory: nothing to restore");
         assert!(
             warm_start(&config).is_none(),
             "second warm start is a no-op"

@@ -8,7 +8,9 @@
 //!    snapshot degrades to recovery counters and a re-derived artifact,
 //!    never a wrong verdict or a panic.
 //! 3. **Lifecycle** — configuration resolution, the once-per-directory
-//!    warm-start guard, audit and clear behave as documented.
+//!    warm-start guard, audit and clear behave as documented, including
+//!    on a six-snapshot directory written before verdict-only
+//!    persistence.
 //!
 //! Every test funnels through [`store_guard`]: the stage caches are
 //! process-wide, so tests that clear or repopulate them must not
@@ -20,8 +22,8 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 
 use chromata::{
     analyze, analyze_persistent, audit_cache_dir, clear_cache_dir, clear_stage_caches,
-    load_cache_dir, persist_now, warm_start, Analysis, CacheDirConfig, PipelineOptions,
-    SnapshotAudit, SnapshotStatus, CACHE_DIR_ENV,
+    load_cache_dir, persist_now, stage_cache_stats, warm_start, Analysis, ArtifactKind,
+    CacheDirConfig, PipelineOptions, SnapshotStatus, CACHE_DIR_ENV,
 };
 use chromata_task::library::{hourglass, identity_task, two_set_agreement};
 use chromata_task::Task;
@@ -77,7 +79,10 @@ fn digest_parity_cold_warm_memory_warm_disk() {
     let saved = persist_now(&config)
         .expect("persistence is enabled")
         .expect("snapshot write succeeds");
-    assert_eq!(saved.files_written, 6, "one snapshot per artifact kind");
+    assert_eq!(
+        saved.files_written, 1,
+        "only the verdict cache is persisted"
+    );
     assert!(saved.entries_written > 0);
 
     clear_stage_caches();
@@ -107,7 +112,7 @@ fn persistent_facade_loads_once_per_directory() {
     let loaded = report
         .loaded
         .expect("first touch of a directory warm-starts");
-    assert_eq!(loaded.missing, 6, "a fresh directory has no snapshots");
+    assert_eq!(loaded.missing, 1, "a fresh directory has no snapshot");
     assert_eq!(loaded.restored, 0);
     let saved = report.saved.expect("snapshot after analysis");
     assert!(saved.entries_written > 0);
@@ -142,18 +147,10 @@ fn flipped_byte_degrades_to_recovery_counters_not_a_wrong_verdict() {
     bytes[n - 3] ^= 0x01;
     fs::write(&path, &bytes).expect("rewrite snapshot");
 
-    // The audit sees the damage, confined to the one kind...
-    let audits = audit_cache_dir(&dir);
-    assert_eq!(audits.len(), 6);
-    let verdict_audit = audits
-        .iter()
-        .find(|a| a.kind.name() == "verdict")
-        .expect("verdict kind audited");
-    assert!(!verdict_audit.is_clean(), "{verdict_audit:?}");
-    assert!(audits
-        .iter()
-        .filter(|a| a.kind.name() != "verdict")
-        .all(SnapshotAudit::is_clean));
+    // The audit sees the damage...
+    let audit = audit_cache_dir(&dir);
+    assert_eq!(audit.kind, ArtifactKind::Verdict);
+    assert!(!audit.is_clean(), "{audit:?}");
 
     // ...the load classifies it as a recovery event, not a failure...
     clear_stage_caches();
@@ -180,9 +177,9 @@ fn torn_tail_skips_only_the_final_record() {
         .expect("persistence is enabled")
         .expect("snapshot write succeeds");
 
-    // Tear the split snapshot mid-way through its last record, as a
+    // Tear the verdict snapshot mid-way through its last record, as a
     // crash without the atomic-rename protocol would.
-    let path = dir.join("split.snap");
+    let path = dir.join("verdict.snap");
     let bytes = fs::read(&path).expect("snapshot exists");
     fs::write(&path, &bytes[..bytes.len() - 2]).expect("rewrite snapshot");
 
@@ -227,15 +224,62 @@ fn clear_cache_dir_removes_every_snapshot() {
 
     let (_, report) = analyze_persistent(&identity_task(2), PipelineOptions::default(), &config);
     assert!(report.saved.is_some(), "{report:?}");
+    let written: Vec<_> = fs::read_dir(&dir)
+        .expect("cache directory exists")
+        .map(|e| e.expect("directory entry").file_name())
+        .collect();
+    assert_eq!(written, ["verdict.snap"], "one snapshot, the verdict");
 
     let removed = clear_cache_dir(&dir).expect("clear succeeds");
+    assert_eq!(removed, 1);
+    assert_eq!(audit_cache_dir(&dir).status, SnapshotStatus::Missing);
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A cache directory written before verdict-only persistence holds all
+/// six per-kind snapshots (`batch identity --cache-dir`). Its verdict
+/// must still restore cleanly and answer from the cache; the five other
+/// files are ignored on load and still removed by `clear_cache_dir`.
+#[test]
+fn six_snapshot_directory_restores_verdicts_and_clears_every_file() {
+    let _guard = store_guard();
+    let fixture = PathBuf::from(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/six-kind-cache"
+    ));
+    let dir = scratch_dir("six-kinds");
+    fs::create_dir_all(&dir).expect("mkdir");
+    for entry in fs::read_dir(&fixture).expect("fixture exists") {
+        let entry = entry.expect("fixture entry");
+        fs::copy(entry.path(), dir.join(entry.file_name())).expect("copy fixture");
+    }
+    let options = PipelineOptions::default();
+    let task = identity_task(3);
+
+    clear_stage_caches();
+    let cold = fingerprint(&analyze(&task, options));
+
+    clear_stage_caches();
+    let loaded = load_cache_dir(&CacheDirConfig::at(&dir)).expect("persistence is enabled");
+    assert_eq!(loaded.restored, 1, "{loaded:?}");
+    assert_eq!(loaded.recovery_events(), 0, "{loaded:?}");
+    assert!(audit_cache_dir(&dir).is_clean());
+
+    let warm = fingerprint(&analyze(&task, options));
+    assert_eq!(cold, warm, "the restored verdict changed an answer");
+    let verdict_hits = stage_cache_stats()
+        .into_iter()
+        .find(|(kind, _)| *kind == ArtifactKind::Verdict)
+        .map(|(_, stats)| stats.hits);
     assert!(
-        removed >= 6,
-        "all six kind snapshots removed, got {removed}"
+        verdict_hits.is_some_and(|hits| hits >= 1),
+        "the verdict came from the restored record"
     );
-    assert!(audit_cache_dir(&dir)
-        .iter()
-        .all(|a| a.status == SnapshotStatus::Missing));
+
+    let removed = clear_cache_dir(&dir).expect("clear succeeds");
+    assert_eq!(removed, 6, "all six per-kind snapshots removed");
+    assert_eq!(fs::read_dir(&dir).expect("dir kept").count(), 0);
 
     let _ = fs::remove_dir_all(&dir);
 }
