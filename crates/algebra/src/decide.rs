@@ -13,7 +13,7 @@
 //! 5. bounded Todd–Coxeter: exact whenever the group is small enough to
 //!    enumerate.
 
-use crate::linear::is_feasible;
+use crate::linear::{feasible, Overflow};
 use crate::presentation::Presentation;
 use crate::todd_coxeter::{coset_enumeration, Enumeration};
 use crate::word::{exponent_vector, free_reduce};
@@ -53,6 +53,31 @@ pub fn word_triviality(p: &Presentation, w: &[i32]) -> Triviality {
 /// [`word_triviality`] with an explicit Todd–Coxeter coset budget.
 #[must_use]
 pub fn word_triviality_with_budget(p: &Presentation, w: &[i32], coset_budget: usize) -> Triviality {
+    // Tier 1 first: an identity word needs no simplification at all.
+    if free_reduce(w).is_empty() {
+        return Triviality::Trivial;
+    }
+    // One simplified copy serves both group-level facts.
+    let simplified = p.simplified();
+    decide_tiers(
+        p,
+        simplified.is_trivial_group(),
+        simplified.has_all_commutators(),
+        w,
+        coset_budget,
+    )
+}
+
+/// The tiers of [`word_triviality_with_budget`] given the group-level
+/// facts about `p` its caller already holds: whether the simplified
+/// presentation is trivial, and whether it is evidently abelian.
+pub(crate) fn decide_tiers(
+    p: &Presentation,
+    trivial_group: bool,
+    evidently_abelian: bool,
+    w: &[i32],
+    coset_budget: usize,
+) -> Triviality {
     // Tier 1: syntactic identity.
     let w = free_reduce(w);
     if w.is_empty() {
@@ -61,8 +86,7 @@ pub fn word_triviality_with_budget(p: &Presentation, w: &[i32], coset_budget: us
 
     // Tier 2: the whole group is trivial (isomorphism-invariant, so the
     // simplified copy certifies the original).
-    let simplified = p.simplified();
-    if simplified.is_trivial_group() {
+    if trivial_group {
         return Triviality::Trivial;
     }
 
@@ -73,16 +97,15 @@ pub fn word_triviality_with_budget(p: &Presentation, w: &[i32], coset_budget: us
     }
 
     // Tier 4: abelianization. If the exponent vector is outside the
-    // relator lattice, the word is non-trivial in G^ab, hence in G.
+    // relator lattice, the word is non-trivial in G^ab, hence in G; inside
+    // it, that is exact when the group is certifiably abelian. An
+    // overflowing lattice system decides nothing, so it falls through to
+    // coset enumeration, which does not depend on it.
     let e = exponent_vector(&w, p.generator_count());
-    let lattice = p.relator_matrix().transpose(); // columns = relators
-    let in_lattice = is_feasible(&lattice, &e);
-    if !in_lattice {
-        return Triviality::Nontrivial;
-    }
-    // Exact when the group is certifiably abelian.
-    if p.is_evidently_abelian() {
-        return Triviality::Trivial;
+    match feasible(&p.relator_lattice(), &e) {
+        Ok(false) => return Triviality::Nontrivial,
+        Ok(true) if evidently_abelian => return Triviality::Trivial,
+        Ok(true) | Err(Overflow) => {}
     }
 
     // Tier 5: bounded coset enumeration (exact for small finite groups).
@@ -152,6 +175,50 @@ mod tests {
         assert_eq!(
             word_triviality(&p, &[1, 2, 1, 2, 1, 2]),
             Triviality::Trivial
+        );
+    }
+
+    /// `n + 1` generators `g₀ … gₙ₋₁, r` and relators `g₀ r²`,
+    /// `gₖ gₖ₋₁⁻³` (0 < k < n), `gₙ₋₁³` plus `extra`. Unit-pivot
+    /// elimination of the relator lattice walks down the chain and
+    /// multiplies `r`'s row by 3 per step, past `i64` for n = 40.
+    fn tripling_chain(n: i32, extra: Vec<Vec<i32>>) -> Presentation {
+        let r = n + 1;
+        let mut relators = vec![vec![1, r, r]];
+        relators.extend((1..n).map(|k| vec![k + 1, -k, -k, -k]));
+        relators.push(vec![n, n, n]);
+        relators.extend(extra);
+        Presentation::new(r as usize, relators)
+    }
+
+    #[test]
+    fn lattice_overflow_falls_through_to_coset_enumeration() {
+        // With r² = 1 the chain collapses to ⟨ r | r² ⟩ = ℤ/2: the lattice
+        // system overflows, Todd–Coxeter still decides. Passing
+        // `evidently_abelian` shows the overflow is not read as membership.
+        let p = tripling_chain(40, vec![vec![41, 41]]);
+        let e = exponent_vector(&[41], p.generator_count());
+        assert_eq!(feasible(&p.relator_lattice(), &e), Err(Overflow));
+        assert_eq!(
+            decide_tiers(&p, false, true, &[41], DEFAULT_COSET_BUDGET),
+            Triviality::Nontrivial
+        );
+        assert_eq!(
+            decide_tiers(&p, false, true, &[41, 41], DEFAULT_COSET_BUDGET),
+            Triviality::Trivial
+        );
+    }
+
+    #[test]
+    fn lattice_overflow_without_enumeration_is_unknown() {
+        // ℤ/(2·3⁴⁰): too large to enumerate, and the lattice system
+        // overflows, so no tier decides and nothing panics.
+        let p = tripling_chain(40, vec![]);
+        let e = exponent_vector(&[41], p.generator_count());
+        assert_eq!(feasible(&p.relator_lattice(), &e), Err(Overflow));
+        assert_eq!(
+            decide_tiers(&p, false, true, &[41], 64),
+            Triviality::Unknown
         );
     }
 

@@ -134,7 +134,7 @@ impl PresentationSummary {
         let group = EdgePathGroup::new(k);
         let simplified = group.presentation().simplified();
         let trivial = simplified.is_trivial_group();
-        let evidently_abelian = group.presentation().is_evidently_abelian();
+        let evidently_abelian = simplified.has_all_commutators();
         PresentationSummary {
             group,
             simplified,
@@ -165,11 +165,39 @@ impl PresentationSummary {
         self.trivial
     }
 
-    /// Whether the (unsimplified) presentation is evidently abelian, the
+    /// Whether the group is evidently abelian — judged on the simplified
+    /// presentation, as [`Presentation::is_evidently_abelian`] does — the
     /// condition under which H₁ feasibility is exact.
     #[must_use]
     pub fn is_evidently_abelian(&self) -> bool {
         self.evidently_abelian
+    }
+
+    /// [`crate::word_triviality`] for a word of this group, reusing the
+    /// summary's simplification instead of simplifying again.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use chromata_algebra::{PresentationSummary, Triviality};
+    /// use chromata_topology::{Complex, Simplex, Vertex};
+    ///
+    /// let tri = Simplex::from_iter([Vertex::of(0, 0), Vertex::of(1, 0), Vertex::of(2, 0)]);
+    /// let circle = Complex::from_facets([tri]).skeleton(1);
+    /// let s = PresentationSummary::of(&circle);
+    /// let walk = [Vertex::of(0, 0), Vertex::of(1, 0), Vertex::of(2, 0), Vertex::of(0, 0)];
+    /// let w = s.group().word_of_walk(&walk).unwrap();
+    /// assert_eq!(s.word_triviality(&w), Triviality::Nontrivial);
+    /// ```
+    #[must_use]
+    pub fn word_triviality(&self, w: &[i32]) -> crate::decide::Triviality {
+        crate::decide::decide_tiers(
+            self.group.presentation(),
+            self.trivial,
+            self.evidently_abelian,
+            w,
+            crate::decide::DEFAULT_COSET_BUDGET,
+        )
     }
 }
 
@@ -275,9 +303,8 @@ mod tests {
         let p = g.presentation();
         // The word is a product of relator conjugates; verify at the
         // abelianized level here (full tier testing lives in decide.rs).
-        let m = p.relator_matrix();
         let e = crate::word::exponent_vector(&w, p.generator_count());
-        assert!(crate::linear::is_feasible(&m.transpose(), &e));
+        assert_eq!(crate::linear::feasible(&p.relator_lattice(), &e), Ok(true));
     }
 
     #[test]

@@ -12,21 +12,24 @@ use std::collections::BTreeMap;
 
 use chromata_topology::{Complex, Simplex, Vertex};
 
-use crate::linear::in_column_lattice;
-use crate::matrix::IntMatrix;
+use crate::linear::{feasible, Overflow};
+use crate::matrix::SparseMatrix;
 use crate::smith::smith_normal_form;
 
 /// Indexed bases for the chain groups of a complex (dimensions 0, 1, 2)
-/// together with its boundary matrices.
+/// together with its boundary matrices, stored sparse and column-major
+/// (one column per simplex, as the complex grows).
 #[derive(Clone, Debug)]
 pub struct ChainComplex {
     vertices: Vec<Vertex>,
     edges: Vec<Simplex>,
     triangles: Vec<Simplex>,
+    /// Edge `(min, max)` → its index in the edge basis.
+    edge_index: BTreeMap<(Vertex, Vertex), usize>,
     /// ∂₁ : C₁ → C₀, shape `|V| × |E|`.
-    pub boundary1: IntMatrix,
+    pub boundary1: SparseMatrix,
     /// ∂₂ : C₂ → C₁, shape `|E| × |T|`.
-    pub boundary2: IntMatrix,
+    pub boundary2: SparseMatrix,
 }
 
 impl ChainComplex {
@@ -48,35 +51,35 @@ impl ChainComplex {
         let triangles: Vec<Simplex> = k.simplices_of_dim(2).cloned().collect();
         let vindex: BTreeMap<&Vertex, usize> =
             vertices.iter().enumerate().map(|(i, v)| (v, i)).collect();
-        let eindex: BTreeMap<&Simplex, usize> =
-            edges.iter().enumerate().map(|(i, e)| (e, i)).collect();
+        let edge_index: BTreeMap<(Vertex, Vertex), usize> = edges
+            .iter()
+            .enumerate()
+            .map(|(i, e)| {
+                let vs = e.vertices();
+                ((vs[0].clone(), vs[1].clone()), i)
+            })
+            .collect();
 
-        let mut b1 = IntMatrix::zeros(vertices.len(), edges.len());
-        for (j, e) in edges.iter().enumerate() {
+        let mut b1 = SparseMatrix::new(vertices.len());
+        for e in &edges {
             let vs = e.vertices();
             // ∂[v0, v1] = v1 - v0 (vertices sorted).
-            b1.set(vindex[&vs[1]], j, 1);
-            b1.set(vindex[&vs[0]], j, -1);
+            b1.push_column([(vindex[&vs[1]], 1), (vindex[&vs[0]], -1)]);
         }
 
-        let mut b2 = IntMatrix::zeros(edges.len(), triangles.len());
-        for (j, t) in triangles.iter().enumerate() {
+        let mut b2 = SparseMatrix::new(edges.len());
+        for t in &triangles {
             let vs = t.vertices();
+            let e = |a: usize, b: usize| edge_index[&(vs[a].clone(), vs[b].clone())];
             // ∂[v0,v1,v2] = [v1,v2] - [v0,v2] + [v0,v1].
-            let faces = [
-                (Simplex::from_iter([vs[1].clone(), vs[2].clone()]), 1),
-                (Simplex::from_iter([vs[0].clone(), vs[2].clone()]), -1),
-                (Simplex::from_iter([vs[0].clone(), vs[1].clone()]), 1),
-            ];
-            for (f, sign) in faces {
-                b2.set(eindex[&f], j, sign);
-            }
+            b2.push_column([(e(1, 2), 1), (e(0, 2), -1), (e(0, 1), 1)]);
         }
 
         ChainComplex {
             vertices,
             edges,
             triangles,
+            edge_index,
             boundary1: b1,
             boundary2: b2,
         }
@@ -100,6 +103,41 @@ impl ChainComplex {
         &self.triangles
     }
 
+    /// Encodes a walk `w0, w1, …, wk` as a sparse 1-chain over the edge
+    /// basis: `(edge index, coefficient)` by increasing index, zero
+    /// coefficients omitted.
+    ///
+    /// Returns `None` if some consecutive pair is not an edge of the
+    /// complex.
+    #[must_use]
+    pub fn walk_to_sparse_chain(&self, walk: &[Vertex]) -> Option<Vec<(usize, i64)>> {
+        let mut steps = Vec::with_capacity(walk.len());
+        for pair in walk.windows(2) {
+            let (a, b) = (&pair[0], &pair[1]);
+            if a == b {
+                continue; // stuttering step contributes nothing
+            }
+            // Orientation: edge stored as [min, max] with ∂ = max - min;
+            // traversing min→max counts +1, max→min counts −1.
+            let (key, sign) = if a < b {
+                ((a.clone(), b.clone()), 1)
+            } else {
+                ((b.clone(), a.clone()), -1)
+            };
+            steps.push((*self.edge_index.get(&key)?, sign));
+        }
+        steps.sort_unstable_by_key(|&(j, _)| j);
+        let mut chain: Vec<(usize, i64)> = Vec::with_capacity(steps.len());
+        for (j, sign) in steps {
+            match chain.last_mut() {
+                Some((last, coeff)) if *last == j => *coeff += sign,
+                _ => chain.push((j, sign)),
+            }
+        }
+        chain.retain(|&(_, coeff)| coeff != 0);
+        Some(chain)
+    }
+
     /// Encodes a closed walk `w0, w1, …, wk (= w0)` as a 1-chain over the
     /// edge basis.
     ///
@@ -107,34 +145,43 @@ impl ChainComplex {
     /// complex.
     #[must_use]
     pub fn walk_to_chain(&self, walk: &[Vertex]) -> Option<Vec<i64>> {
-        let eindex: BTreeMap<&Simplex, usize> =
-            self.edges.iter().enumerate().map(|(i, e)| (e, i)).collect();
         let mut chain = vec![0i64; self.edges.len()];
-        for pair in walk.windows(2) {
-            let (a, b) = (&pair[0], &pair[1]);
-            if a == b {
-                continue; // stuttering step contributes nothing
-            }
-            let e = Simplex::from_iter([a.clone(), b.clone()]);
-            let j = *eindex.get(&e)?;
-            // Orientation: edge stored as [min, max] with ∂ = max - min;
-            // traversing min→max counts +1, max→min counts −1.
-            let sign = if a < b { 1 } else { -1 };
-            chain[j] += sign;
+        for (j, coeff) in self.walk_to_sparse_chain(walk)? {
+            chain[j] = coeff;
         }
         Some(chain)
     }
 
     /// Whether a 1-chain is a cycle (`∂₁ z = 0`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chain` is not indexed by the edge basis.
     #[must_use]
     pub fn is_cycle(&self, chain: &[i64]) -> bool {
-        self.boundary1.mul_vec(chain).iter().all(|&x| x == 0)
+        assert_eq!(chain.len(), self.edges.len(), "chain length mismatch");
+        // i128 accumulation: each vertex sums at most |E| products of an
+        // i64 coefficient with ±1, which cannot overflow.
+        let mut boundary = vec![0i128; self.vertices.len()];
+        for (col, &z) in self.boundary1.columns().zip(chain) {
+            for &(r, v) in col {
+                boundary[r] += i128::from(v) * i128::from(z);
+            }
+        }
+        boundary.iter().all(|&x| x == 0)
     }
 
     /// Whether a 1-cycle is a boundary (`z ∈ im ∂₂`), i.e. null-homologous.
-    #[must_use]
-    pub fn is_boundary(&self, chain: &[i64]) -> bool {
-        in_column_lattice(&self.boundary2, chain)
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Overflow`] if elimination leaves checked arithmetic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chain` is not indexed by the edge basis.
+    pub fn is_boundary(&self, chain: &[i64]) -> Result<bool, Overflow> {
+        feasible(&self.boundary2, chain)
     }
 }
 
@@ -171,8 +218,8 @@ pub fn homology(k: &Complex) -> HomologyReport {
     let n_v = cc.vertices.len();
     let n_e = cc.edges.len();
     let n_t = cc.triangles.len();
-    let s1 = smith_normal_form(&cc.boundary1);
-    let s2 = smith_normal_form(&cc.boundary2);
+    let s1 = smith_normal_form(&cc.boundary1.to_dense());
+    let s2 = smith_normal_form(&cc.boundary2.to_dense());
     let rank1 = s1.rank();
     let rank2 = s2.rank();
     HomologyReport {
@@ -219,7 +266,11 @@ mod tests {
         let walk = [v(0, 0), v(1, 0), v(2, 0), v(0, 0)];
         let z = cc.walk_to_chain(&walk).unwrap();
         assert!(cc.is_cycle(&z));
-        assert!(!cc.is_boundary(&z), "the generator of H1 is not a boundary");
+        assert_eq!(
+            cc.is_boundary(&z),
+            Ok(false),
+            "the generator of H1 is not a boundary"
+        );
     }
 
     #[test]
@@ -229,7 +280,7 @@ mod tests {
         let walk = [v(0, 0), v(1, 0), v(2, 0), v(0, 0)];
         let z = cc.walk_to_chain(&walk).unwrap();
         assert!(cc.is_cycle(&z));
-        assert!(cc.is_boundary(&z));
+        assert_eq!(cc.is_boundary(&z), Ok(true));
     }
 
     #[test]
@@ -278,7 +329,8 @@ mod tests {
         let z = cc
             .walk_to_chain(&[i[0].clone(), i[1].clone(), i[2].clone(), i[0].clone()])
             .unwrap();
-        assert!(cc.is_cycle(&z) && !cc.is_boundary(&z));
+        assert!(cc.is_cycle(&z));
+        assert_eq!(cc.is_boundary(&z), Ok(false));
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! * **contractibility of loops** in 2-dimensional output complexes — the
 //!   generally undecidable residue (§7), attacked here with a tier of sound
 //!   partial deciders: [`homology`] / [`ChainComplex`] (abelianized
-//!   obstructions via [`smith_normal_form`] and [`solve_integer`]),
+//!   obstructions via sparse unit-pivot [`feasible`]; invariants via
+//!   [`smith_normal_form`]),
 //!   [`EdgePathGroup`] presentations simplified by Tietze moves
 //!   ([`Presentation::simplified`]), and bounded [`coset_enumeration`].
 //!
@@ -46,8 +47,8 @@ mod word;
 pub use decide::{word_triviality, word_triviality_with_budget, Triviality, DEFAULT_COSET_BUDGET};
 pub use edge_path::{loop_contractible, EdgePathGroup, PresentationSummary};
 pub use homology::{homology, ChainComplex, HomologyReport};
-pub use linear::{in_column_lattice, is_feasible, solve_integer};
-pub use matrix::IntMatrix;
+pub use linear::{feasible, solve_integer, Overflow};
+pub use matrix::{IntMatrix, SparseMatrix};
 pub use presentation::Presentation;
 pub use smith::{smith_normal_form, SmithForm};
 pub use todd_coxeter::{coset_enumeration, CosetTable, Enumeration};

@@ -1,9 +1,10 @@
-//! Dense integer matrices with checked arithmetic.
+//! Integer matrices: dense with checked arithmetic, and sparse by column.
 //!
-//! Boundary operators of small simplicial complexes and exponent matrices
-//! of group presentations are tiny, so a straightforward dense
-//! representation with `i64` entries (and overflow checks on every
-//! arithmetic operation) is both simple and safe.
+//! Smith normal forms (homology invariants, `solve_integer`) work on the
+//! dense [`IntMatrix`], with `i64` entries and overflow checks on every
+//! arithmetic operation. Boundary operators and relator lattices, which
+//! are ±1-heavy and mostly zero, are stored as [`SparseMatrix`] columns
+//! and fed to the sparse feasibility eliminator.
 
 use std::fmt;
 
@@ -285,6 +286,92 @@ impl fmt::Display for IntMatrix {
             writeln!(f, "]")?;
         }
         Ok(())
+    }
+}
+
+/// A sparse integer matrix stored column by column.
+///
+/// Each column lists its non-zero entries as `(row, value)` with strictly
+/// increasing rows. Boundary operators grow one column per simplex, and
+/// the feasibility eliminator ([`crate::feasible`]) reads the columns
+/// directly, so no dense `rows × cols` table is ever allocated.
+///
+/// # Examples
+///
+/// ```
+/// use chromata_algebra::SparseMatrix;
+///
+/// let mut m = SparseMatrix::new(3);
+/// m.push_column([(2, 1), (0, -1)]);
+/// m.push_column([(1, 0)]); // zeros are dropped
+/// let cols: Vec<&[(usize, i64)]> = m.columns().collect();
+/// assert_eq!(cols, [&[(0, -1), (2, 1)][..], &[]]);
+/// assert_eq!(m.to_dense().get(2, 0), 1);
+/// ```
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct SparseMatrix {
+    rows: usize,
+    columns: Vec<Vec<(usize, i64)>>,
+}
+
+impl SparseMatrix {
+    /// An empty matrix with `rows` rows and no columns.
+    #[must_use]
+    pub fn new(rows: usize) -> Self {
+        SparseMatrix {
+            rows,
+            columns: Vec::new(),
+        }
+    }
+
+    /// Appends a column given by its `(row, value)` entries, in any order.
+    /// Zero values are dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row is out of range or appears twice.
+    pub fn push_column(&mut self, entries: impl IntoIterator<Item = (usize, i64)>) {
+        let mut col: Vec<(usize, i64)> = entries.into_iter().filter(|&(_, v)| v != 0).collect();
+        col.sort_unstable_by_key(|&(r, _)| r);
+        assert!(
+            col.last().is_none_or(|&(r, _)| r < self.rows),
+            "row index out of bounds"
+        );
+        assert!(
+            col.windows(2)
+                .all(|w| w.first().map(|e| e.0) != w.last().map(|e| e.0)),
+            "repeated row in a sparse column"
+        );
+        self.columns.push(col);
+    }
+
+    /// The dense copy (for Smith normal form and display).
+    #[must_use]
+    pub fn to_dense(&self) -> IntMatrix {
+        let mut m = IntMatrix::zeros(self.rows, self.columns.len());
+        for (c, col) in self.columns.iter().enumerate() {
+            for &(r, v) in col {
+                m.set(r, c, v);
+            }
+        }
+        m
+    }
+
+    /// Number of rows.
+    #[must_use]
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns.
+    #[must_use]
+    pub fn cols(&self) -> usize {
+        self.columns.len()
+    }
+
+    /// All columns, in order.
+    pub fn columns(&self) -> impl Iterator<Item = &[(usize, i64)]> {
+        self.columns.iter().map(Vec::as_slice)
     }
 }
 

@@ -7,7 +7,7 @@
 //!
 //! chromata-lint: allow(P3): generator/relator indices are bounded by the presentation tables built in the same pass; every site is advisory-flagged by P2 for per-site review
 
-use crate::matrix::IntMatrix;
+use crate::matrix::SparseMatrix;
 use crate::word::{
     cyclic_reduce, delete_generator, exponent_vector, free_reduce, invert, substitute, Word,
 };
@@ -71,15 +71,14 @@ impl Presentation {
         self.relators.is_empty()
     }
 
-    /// The exponent matrix of the relators (rows = abelianized relators,
-    /// columns = generators): presentation matrix of H₁ = Gᵃᵇ.
+    /// The relator lattice of H₁ = Gᵃᵇ, sparse: one column per relator (its
+    /// exponent vector), one row per generator. H₁ is ℤ^generators modulo
+    /// the span of the columns.
     #[must_use]
-    pub fn relator_matrix(&self) -> IntMatrix {
-        let mut m = IntMatrix::zeros(self.relators.len(), self.generators);
-        for (i, r) in self.relators.iter().enumerate() {
-            for (j, e) in exponent_vector(r, self.generators).into_iter().enumerate() {
-                m.set(i, j, e);
-            }
+    pub fn relator_lattice(&self) -> SparseMatrix {
+        let mut m = SparseMatrix::new(self.generators);
+        for r in &self.relators {
+            m.push_column(exponent_vector(r, self.generators).into_iter().enumerate());
         }
         m
     }
@@ -87,73 +86,91 @@ impl Presentation {
     /// Normalizes relators: free+cyclic reduction, drop empties, dedup
     /// (up to inversion).
     fn cleanup(&mut self) {
-        let mut rs: Vec<Word> = self
-            .relators
-            .iter()
-            .map(|r| cyclic_reduce(&free_reduce(r)))
-            .filter(|r| !r.is_empty())
-            .collect();
-        // Canonical representative: min over rotations of the word and its
-        // inverse, so duplicates in disguise collapse.
-        for r in &mut rs {
-            *r = canonical_cyclic(r);
-        }
-        rs.sort();
-        rs.dedup();
-        self.relators = rs;
+        self.relators = normalized(std::mem::take(&mut self.relators));
     }
 
     /// Applies Tietze simplification until a fixed point (or a size guard):
     /// eliminates generators that occur exactly once in a single relator,
     /// substitutes length-1 and length-2 relators, and re-normalizes.
     /// The result presents an isomorphic group.
+    ///
+    /// Each elimination `g := rep` substitutes into and re-canonicalizes
+    /// only the relators that mention `g`. The others are renumbered,
+    /// an order-preserving relabel of the letters, so they keep their
+    /// canonical form and their relative order and are merged back in.
     #[must_use]
     pub fn simplified(&self) -> Presentation {
         const MAX_TOTAL_LENGTH: usize = 100_000;
         let mut p = self.clone();
+        p.cleanup();
+        let mut counts = vec![0u32; p.generators + 1];
         loop {
-            p.cleanup();
-            let Some((gen, rep, ridx)) = p.find_elimination() else {
+            let Some((gen, rep, ridx)) = p.find_elimination(&mut counts) else {
                 return p;
             };
             // Substitute gen := rep in all other relators, drop relator
             // ridx and renumber generators.
-            let mut new_relators = Vec::new();
+            let mut renumbered = Vec::with_capacity(p.relators.len());
+            let mut substituted = Vec::new();
+            let mut total = 0usize;
             for (i, r) in p.relators.iter().enumerate() {
                 if i == ridx {
                     continue;
                 }
-                let s = substitute(r, gen, &rep);
-                new_relators.push(delete_generator(&s, gen));
+                if r.iter().any(|x| x.abs() == gen) {
+                    let s = delete_generator(&substitute(r, gen, &rep), gen);
+                    total += s.len();
+                    substituted.push(s);
+                } else {
+                    total += r.len();
+                    renumbered.push(delete_generator(r, gen));
+                }
             }
-            let total: usize = new_relators.iter().map(Vec::len).sum();
             if total > MAX_TOTAL_LENGTH {
                 return p; // size guard: give up on further elimination
             }
-            p = Presentation::new(p.generators - 1, new_relators);
+            p = Presentation {
+                generators: p.generators - 1,
+                relators: merge_sorted(renumbered, normalized(substituted)),
+            };
         }
     }
 
-    /// Finds a generator eliminable by a Tietze move: a relator in which
-    /// some generator occurs exactly once (so the relator can be solved for
-    /// it). Returns `(generator, replacement word, relator index)`.
-    fn find_elimination(&self) -> Option<(i32, Word, usize)> {
+    /// Finds a generator eliminable by a Tietze move: the first relator in
+    /// which some generator occurs exactly once (so the relator can be
+    /// solved for it), and the smallest such generator. Returns
+    /// `(generator, replacement word, relator index)`.
+    ///
+    /// One counting pass per relator; `counts` is scratch space indexed by
+    /// generator (at least `generators + 1` long), all zero on entry and on
+    /// return. Letters beyond the generator count are never eliminated.
+    fn find_elimination(&self, counts: &mut [u32]) -> Option<(i32, Word, usize)> {
+        let n = self.generators;
+        let slot = |x: i32| x.unsigned_abs() as usize;
         for (ridx, r) in self.relators.iter().enumerate() {
-            for g in 1..=self.generators as i32 {
-                let occurrences = r.iter().filter(|&&x| x.abs() == g).count();
-                if occurrences != 1 {
-                    continue;
-                }
-                // Rotate r so the unique occurrence of ±g is first:
-                // r = g^ε · w  ⇒  g^ε = w⁻¹  ⇒  g = w⁻¹ (ε=1) or w (ε=-1).
-                let pos = r.iter().position(|&x| x.abs() == g).expect("present"); // chromata-lint: allow(P1): occurrences == 1 was just checked, so the position exists
-                let mut rot = r[pos..].to_vec();
-                rot.extend_from_slice(&r[..pos]);
-                let eps = rot[0].signum();
-                let w = &rot[1..];
-                let rep = if eps > 0 { invert(w) } else { free_reduce(w) };
-                return Some((g, rep, ridx));
+            for &x in r.iter().filter(|&&x| slot(x) <= n) {
+                counts[slot(x)] += 1;
             }
+            let unique = r
+                .iter()
+                .filter(|&&x| slot(x) <= n && counts[slot(x)] == 1)
+                .map(|x| x.abs())
+                .min();
+            for &x in r.iter().filter(|&&x| slot(x) <= n) {
+                counts[slot(x)] = 0;
+            }
+            let Some(g) = unique else {
+                continue;
+            };
+            // Rotate r so the unique occurrence of ±g is first:
+            // r = g^ε · w  ⇒  g^ε = w⁻¹  ⇒  g = w⁻¹ (ε=1) or w (ε=-1).
+            let pos = r.iter().position(|&x| x.abs() == g)?;
+            let mut rot = r[pos..].to_vec();
+            rot.extend_from_slice(&r[..pos]);
+            let eps = rot[0].signum();
+            let w = &rot[1..];
+            let rep = if eps > 0 { invert(w) } else { free_reduce(w) };
+            return Some((g, rep, ridx));
         }
         None
     }
@@ -164,37 +181,93 @@ impl Presentation {
     /// but not necessary ("evidently abelian").
     #[must_use]
     pub fn is_evidently_abelian(&self) -> bool {
-        let p = self.simplified();
-        if p.generators <= 1 {
+        self.simplified().has_all_commutators()
+    }
+
+    /// [`Presentation::is_evidently_abelian`] for a presentation that is
+    /// already the output of [`Presentation::simplified`] (simplification
+    /// is idempotent, so this skips a second pass).
+    pub(crate) fn has_all_commutators(&self) -> bool {
+        if self.generators <= 1 {
             return true;
         }
-        // All pairwise commutators present?
-        (1..=p.generators as i32).all(|a| {
-            (a + 1..=p.generators as i32).all(|b| {
+        // All pairwise commutators present? Relators are sorted.
+        (1..=self.generators as i32).all(|a| {
+            (a + 1..=self.generators as i32).all(|b| {
                 let comm = canonical_cyclic(&[a, b, -a, -b]);
-                p.relators.contains(&comm)
+                self.relators.binary_search(&comm).is_ok()
             })
         })
     }
 }
 
-/// Canonical representative of a cyclic word up to rotation and inversion.
+/// Relators in normal form: freely and cyclically reduced, empties
+/// dropped, each replaced by its [`canonical_cyclic`] representative,
+/// sorted and deduplicated.
+fn normalized(relators: Vec<Word>) -> Vec<Word> {
+    let mut rs: Vec<Word> = relators
+        .iter()
+        .map(|r| cyclic_reduce(&free_reduce(r)))
+        .filter(|r| !r.is_empty())
+        .map(|r| canonical_cyclic(&r))
+        .collect();
+    rs.sort();
+    rs.dedup();
+    rs
+}
+
+/// Merges two sorted, deduplicated relator lists into one.
+fn merge_sorted(a: Vec<Word>, b: Vec<Word>) -> Vec<Word> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let mut b = b.into_iter().peekable();
+    for x in a {
+        while let Some(y) = b.next_if(|y| *y < x) {
+            out.push(y);
+        }
+        if b.peek() == Some(&x) {
+            b.next();
+        }
+        out.push(x);
+    }
+    out.extend(b);
+    out
+}
+
+/// Canonical representative of a cyclic word up to rotation and inversion:
+/// the lexicographically least rotation of the word or of its inverse.
 fn canonical_cyclic(w: &[i32]) -> Word {
     let w = cyclic_reduce(w);
-    if w.is_empty() {
-        return w;
-    }
-    let mut best: Option<Word> = None;
-    for cand in [w.clone(), invert(&w)] {
-        for k in 0..cand.len() {
-            let mut rot = cand[k..].to_vec();
-            rot.extend_from_slice(&cand[..k]);
-            if best.as_ref().is_none_or(|b| rot < *b) {
-                best = Some(rot);
-            }
+    let inv = invert(&w);
+    let a = least_rotation(&w);
+    let b = least_rotation(&inv);
+    a.min(b)
+}
+
+/// The lexicographically least rotation of `w`, found in linear time by
+/// the two-candidate minimum-rotation scan.
+fn least_rotation(w: &[i32]) -> Word {
+    let n = w.len();
+    let at = |k: usize| w[k % n];
+    let (mut i, mut j, mut k) = (0usize, 1usize, 0usize);
+    while i < n && j < n && k < n {
+        let (x, y) = (at(i + k), at(j + k));
+        if x == y {
+            k += 1;
+            continue;
         }
+        if x > y {
+            i += k + 1;
+        } else {
+            j += k + 1;
+        }
+        if i == j {
+            j += 1;
+        }
+        k = 0;
     }
-    best.expect("non-empty word has a canonical form") // chromata-lint: allow(P1): the rotation loop above seeds `best` for every non-empty word
+    let mut rot = w.to_vec();
+    rot.rotate_left(i.min(j).min(n));
+    rot
 }
 
 #[cfg(test)]
@@ -264,8 +337,8 @@ mod tests {
         // ⟨ a, b | a²b ⟩ abelianized: ±[2, 1] (canonicalization may invert
         // the relator, which spans the same lattice).
         let p = Presentation::new(2, vec![vec![1, 1, 2]]);
-        let m = p.relator_matrix();
-        let row = (m.get(0, 0), m.get(0, 1));
+        let m = p.relator_lattice().to_dense();
+        let row = (m.get(0, 0), m.get(1, 0));
         assert!(row == (2, 1) || row == (-2, -1), "got {row:?}");
     }
 }

@@ -3,15 +3,26 @@
 use proptest::prelude::*;
 
 use chromata_algebra::{
-    concat, cyclic_reduce, exponent_vector, free_reduce, invert, is_feasible, smith_normal_form,
-    solve_integer, IntMatrix, Presentation,
+    concat, cyclic_reduce, delete_generator, exponent_vector, feasible, free_reduce, invert,
+    smith_normal_form, solve_integer, substitute, ChainComplex, IntMatrix, Presentation,
+    SparseMatrix, Word,
 };
+use chromata_topology::{Complex, Simplex, Vertex};
 
 fn small_matrix() -> impl Strategy<Value = IntMatrix> {
     (1usize..5, 1usize..5).prop_flat_map(|(r, c)| {
         proptest::collection::vec(-6i64..7, r * c)
             .prop_map(move |data| IntMatrix::from_rows(r, c, data))
     })
+}
+
+/// The column-major sparse copy of a dense matrix.
+fn sparse_of(a: &IntMatrix) -> SparseMatrix {
+    let mut s = SparseMatrix::new(a.rows());
+    for c in 0..a.cols() {
+        s.push_column((0..a.rows()).map(|r| (r, a.get(r, c))));
+    }
+    s
 }
 
 fn word() -> impl Strategy<Value = Vec<i32>> {
@@ -68,7 +79,7 @@ proptest! {
         if let Some(x) = solve_integer(&doubled, &b) {
             prop_assert_eq!(doubled.mul_vec(&x), b);
         } else {
-            prop_assert!(!is_feasible(&doubled, &b));
+            prop_assert_eq!(feasible(&sparse_of(&doubled), &b), Ok(false));
         }
     }
 
@@ -108,13 +119,183 @@ proptest! {
         let q = p.simplified();
         // The abelianization G^ab = Z^gens / relator lattice is an
         // isomorphism invariant; compare via Smith invariant factors of
-        // the relator matrices (padded ranks).
+        // the relator lattices (padded ranks).
         let inv = |pres: &Presentation| {
-            let m = pres.relator_matrix();
+            let m = pres.relator_lattice().to_dense();
             let s = smith_normal_form(&m);
             let rank_free = pres.generator_count() - s.rank();
             (rank_free, s.torsion())
         };
         prop_assert_eq!(inv(&p), inv(&q));
+    }
+}
+
+/// The Tietze simplification as it was before relators were processed
+/// incrementally: every step re-canonicalizes every relator with the
+/// quadratic rotation scan. Kept verbatim as the oracle for
+/// [`Presentation::simplified`]; it works on raw `(generators, relators)`
+/// so no part of the library's normal form leaks into the reference.
+mod reference {
+    use super::*;
+
+    fn canonical_cyclic(w: &[i32]) -> Word {
+        let w = cyclic_reduce(w);
+        let mut best: Option<Word> = None;
+        for cand in [w.clone(), invert(&w)] {
+            for k in 0..cand.len() {
+                let mut rot = cand[k..].to_vec();
+                rot.extend_from_slice(&cand[..k]);
+                if best.as_ref().is_none_or(|b| rot < *b) {
+                    best = Some(rot);
+                }
+            }
+        }
+        best.unwrap_or_default()
+    }
+
+    fn cleanup(relators: &[Word]) -> Vec<Word> {
+        let mut rs: Vec<Word> = relators
+            .iter()
+            .map(|r| cyclic_reduce(&free_reduce(r)))
+            .filter(|r| !r.is_empty())
+            .map(|r| canonical_cyclic(&r))
+            .collect();
+        rs.sort();
+        rs.dedup();
+        rs
+    }
+
+    fn find_elimination(generators: usize, relators: &[Word]) -> Option<(i32, Word, usize)> {
+        for (ridx, r) in relators.iter().enumerate() {
+            for g in 1..=generators as i32 {
+                if r.iter().filter(|&&x| x.abs() == g).count() != 1 {
+                    continue;
+                }
+                let pos = r.iter().position(|&x| x.abs() == g)?;
+                let mut rot = r[pos..].to_vec();
+                rot.extend_from_slice(&r[..pos]);
+                let w = &rot[1..];
+                let rep = if rot[0] > 0 {
+                    invert(w)
+                } else {
+                    free_reduce(w)
+                };
+                return Some((g, rep, ridx));
+            }
+        }
+        None
+    }
+
+    pub fn simplified(generators: usize, relators: &[Word]) -> (usize, Vec<Word>) {
+        const MAX_TOTAL_LENGTH: usize = 100_000;
+        let (mut n, mut rs) = (generators, cleanup(relators));
+        loop {
+            rs = cleanup(&rs);
+            let Some((gen, rep, ridx)) = find_elimination(n, &rs) else {
+                return (n, rs);
+            };
+            let next: Vec<Word> = rs
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| i != ridx)
+                .map(|(_, r)| delete_generator(&substitute(r, gen, &rep), gen))
+                .collect();
+            if next.iter().map(Vec::len).sum::<usize>() > MAX_TOTAL_LENGTH {
+                return (n, rs);
+            }
+            (n, rs) = (n - 1, cleanup(&next));
+        }
+    }
+}
+
+/// A random presentation: 1–6 generators, up to 7 relators of length up
+/// to 9 over those generators.
+fn presentation() -> impl Strategy<Value = (usize, Vec<Word>)> {
+    (1usize..7).prop_flat_map(|n| {
+        let letter = (1i32..=n as i32, 0u8..2).prop_map(|(g, neg)| if neg == 1 { -g } else { g });
+        let relators = proptest::collection::vec(proptest::collection::vec(letter, 0..10), 0..8);
+        relators.prop_map(move |rs| (n, rs))
+    })
+}
+
+/// A random 2-complex on up to 7 vertices: a random subset of the
+/// triangles of the full simplex, plus a few loose edges.
+fn two_complex() -> impl Strategy<Value = Complex> {
+    let triples: Vec<[i64; 3]> = (0..7)
+        .flat_map(|a| (a + 1..7).flat_map(move |b| (b + 1..7).map(move |c| [a, b, c])))
+        .collect();
+    let pairs: Vec<[i64; 2]> = (0..7)
+        .flat_map(|a| (a + 1..7).map(move |b| [a, b]))
+        .collect();
+    let (nt, np) = (triples.len(), pairs.len());
+    (
+        proptest::collection::vec(0u8..4, nt),
+        proptest::collection::vec(0u8..8, np),
+    )
+        .prop_map(move |(tmask, pmask)| {
+            let mut k = Complex::new();
+            for (t, &m) in triples.iter().zip(&tmask) {
+                if m == 0 {
+                    k.add_simplex(Simplex::from_iter(t.iter().map(|&x| Vertex::of(0, x))));
+                }
+            }
+            for (e, &m) in pairs.iter().zip(&pmask) {
+                if m == 0 {
+                    k.add_simplex(Simplex::from_iter(e.iter().map(|&x| Vertex::of(0, x))));
+                }
+            }
+            k
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn simplified_matches_reference(pres in presentation()) {
+        let (n, relators) = pres;
+        let q = Presentation::new(n, relators.clone()).simplified();
+        let (rn, rrel) = reference::simplified(n, &relators);
+        prop_assert_eq!(q.generator_count(), rn);
+        prop_assert_eq!(q.relators().to_vec(), rrel);
+        // Simplification is idempotent, which the summary relies on.
+        prop_assert_eq!(q.simplified(), q.clone());
+    }
+
+    #[test]
+    fn feasibility_matches_smith_solver(
+        a in small_matrix(),
+        b in proptest::collection::vec(-6i64..7, 4),
+        x in proptest::collection::vec(-3i64..4, 4),
+    ) {
+        let b = &b[..a.rows()];
+        let s = sparse_of(&a);
+        prop_assert_eq!(s.to_dense(), a.clone());
+        prop_assert_eq!(feasible(&s, b), Ok(solve_integer(&a, b).is_some()));
+        // A right-hand side in the column lattice is always feasible.
+        let reachable = a.mul_vec(&x[..a.cols()]);
+        prop_assert_eq!(feasible(&s, &reachable), Ok(true));
+    }
+
+    #[test]
+    fn feasibility_on_boundary_matrices(
+        k in two_complex(),
+        coeffs in proptest::collection::vec(-2i64..3, 21),
+        seed in proptest::collection::vec(-1i64..2, 35),
+    ) {
+        let cc = ChainComplex::new(&k);
+        let d2 = cc.boundary2.to_dense();
+        // Arbitrary 1-chains: feasible exactly when the Smith solver agrees.
+        let z: Vec<i64> = coeffs.iter().copied().cycle().take(cc.edges().len()).collect();
+        prop_assert_eq!(feasible(&cc.boundary2, &z), Ok(solve_integer(&d2, &z).is_some()));
+        prop_assert_eq!(cc.is_boundary(&z), Ok(solve_integer(&d2, &z).is_some()));
+        // Boundaries of 2-chains are always feasible.
+        let c2: Vec<i64> = seed.iter().copied().cycle().take(cc.triangles().len()).collect();
+        let bz = d2.mul_vec(&c2);
+        prop_assert_eq!(feasible(&cc.boundary2, &bz), Ok(true));
+        // ∂₁ is checked the same way (rows = vertices).
+        let d1 = cc.boundary1.to_dense();
+        let w: Vec<i64> = seed.iter().copied().cycle().take(cc.vertices().len()).collect();
+        prop_assert_eq!(feasible(&cc.boundary1, &w), Ok(solve_integer(&d1, &w).is_some()));
     }
 }

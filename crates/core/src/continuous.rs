@@ -29,7 +29,7 @@
 
 use std::collections::BTreeMap;
 
-use chromata_algebra::{is_feasible, EdgePathGroup, IntMatrix};
+use chromata_algebra::{feasible, EdgePathGroup, Overflow, SparseMatrix};
 use chromata_task::Task;
 use chromata_topology::{Graph, Simplex, Vertex};
 
@@ -285,8 +285,7 @@ fn check_triangles(
         }
         let base_trivial =
             base_loop_word(sigma, edges, edge_graphs, g, group).is_some_and(|word| {
-                chromata_algebra::word_triviality(group.presentation(), &word)
-                    == chromata_algebra::Triviality::Trivial
+                summary.word_triviality(&word) == chromata_algebra::Triviality::Trivial
             });
         if base_trivial {
             base_certs.push(format!(
@@ -306,18 +305,39 @@ fn check_triangles(
     let needs_h1 = nontrivial;
 
     // Joint H1 system over all triangles with non-trivial π1 components.
-    match joint_h1_feasible(links, presentations, g) {
-        false => TriangleCheck::HomologyFail(triangles[needs_h1[0]].clone()),
-        true if abelian_ok => {
+    joint_h1_check(
+        joint_h1_feasible(links, presentations, g),
+        &triangles[needs_h1[0]],
+        needs_h1.len(),
+        abelian_ok,
+        certs,
+    )
+}
+
+/// The triangle verdict from the joint H1 system's answer over `count`
+/// non-simply-connected triangle images, `first` the first of them:
+/// infeasible fails at `first`, feasible passes only when every image is
+/// evidently abelian, and an overflowing system leaves it undecided.
+fn joint_h1_check(
+    feasible: Result<bool, Overflow>,
+    first: &Simplex,
+    count: usize,
+    abelian_ok: bool,
+    mut certs: Vec<String>,
+) -> TriangleCheck {
+    match feasible {
+        Err(Overflow) => TriangleCheck::Unknown(format!(
+            "joint H1 system over {count} triangle image(s) overflowed checked arithmetic — contractibility undecided"
+        )),
+        Ok(false) => TriangleCheck::HomologyFail(first.clone()),
+        Ok(true) if abelian_ok => {
             certs.push(format!(
-                "joint H1 system feasible; {} non-simply-connected triangle image(s) all evidently abelian",
-                needs_h1.len()
+                "joint H1 system feasible; {count} non-simply-connected triangle image(s) all evidently abelian"
             ));
             TriangleCheck::Pass(certs)
         }
-        true => TriangleCheck::Unknown(format!(
-            "H1 feasible but π1 of {} triangle image(s) not certified abelian — contractibility undecided",
-            needs_h1.len()
+        Ok(true) => TriangleCheck::Unknown(format!(
+            "H1 feasible but π1 of {count} triangle image(s) not certified abelian — contractibility undecided"
         )),
     }
 }
@@ -354,71 +374,62 @@ fn base_loop_word(
 /// The assignment-independent ingredients — fundamental-cycle walks per
 /// edge graph and chain complexes per triangle — come precomputed from
 /// the [`LinkGraphs`] and [`Presentations`] artifacts; only the base
-/// paths and the component filter depend on the assignment `g`.
+/// paths and the component filter depend on the assignment `g`. The
+/// system is assembled sparse, column by column, and solved by unit-pivot
+/// elimination; [`Overflow`] means the system could not be decided.
 fn joint_h1_feasible(
     links: &LinkGraphs,
     presentations: &Presentations,
     g: &BTreeMap<Vertex, Vertex>,
-) -> bool {
+) -> Result<bool, Overflow> {
     let triangles = &links.triangles;
     let edges = &links.edges;
     let edge_graphs = &links.edge_graphs;
-    // Base paths and attachable cycles per input edge.
-    struct EdgeEnv {
-        base: Vec<Vertex>,        // walk g(x) → g(x')
-        cycles: Vec<Vec<Vertex>>, // closed walks (attachable basis)
+    // Base paths and attachable cycles per input edge, in edge order.
+    struct EdgeEnv<'a> {
+        base: Vec<Vertex>,         // walk g(x) → g(x')
+        cycles: Vec<&'a [Vertex]>, // closed walks (attachable basis)
+        first_col: usize,          // column of cycles[0]
     }
-    let mut envs: BTreeMap<&Simplex, EdgeEnv> = BTreeMap::new();
+    let mut envs: Vec<EdgeEnv> = Vec::with_capacity(edges.len());
+    let mut ncols = 0usize;
     for (ei, (e, graph)) in edges.iter().zip(edge_graphs).enumerate() {
         let vs = e.vertices();
         let (a, b) = (&g[&vs[0]], &g[&vs[1]]);
         let Some(base) = graph.shortest_path(a, b) else {
-            return false; // edge condition failed (caller prunes earlier)
+            return Ok(false); // edge condition failed (caller prunes earlier)
         };
         // Fundamental cycles of the component containing the base path:
         // the closed walks were precomputed per non-tree edge; only the
         // attachability filter depends on the assignment.
-        let cycles: Vec<Vec<Vertex>> = links.edge_cycles[ei]
+        let cycles: Vec<&[Vertex]> = links.edge_cycles[ei]
             .iter()
             .filter(|(u, _)| graph.connected(u, a))
-            .map(|(_, walk)| walk.clone())
+            .map(|(_, walk)| walk.as_slice())
             .collect();
-        envs.insert(e, EdgeEnv { base, cycles });
+        // Column layout: one column per (edge, cycle), then one per
+        // (triangle, image 2-simplex).
+        envs.push(EdgeEnv {
+            base,
+            cycles,
+            first_col: ncols,
+        });
+        ncols += envs[ei].cycles.len();
     }
+    let mut columns: Vec<Vec<(usize, i64)>> = vec![Vec::new(); ncols];
 
-    // Column layout: one column per (edge, cycle) + one per (triangle,
-    // image 2-simplex). Rows: one block per triangle, sized by its image's
-    // edge count.
-    let mut col_of_cycle: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-    let mut ncols = 0usize;
-    for (ei, e) in edges.iter().enumerate() {
-        for ci in 0..envs[e].cycles.len() {
-            col_of_cycle.insert((ei, ci), ncols);
-            ncols += 1;
-        }
-    }
-    // Triangle chain complexes, precomputed in the presentations artifact.
-    let chain_complexes: Vec<&chromata_algebra::ChainComplex> = presentations
+    // Rows: one block per triangle, sized by its image's edge count; the
+    // triangle's chain complex is precomputed in the presentations
+    // artifact.
+    let total_rows: usize = presentations
         .per_triangle
         .iter()
-        .map(|tp| &tp.chain)
-        .collect();
-    let tri_col_start: Vec<usize> = chain_complexes
-        .iter()
-        .map(|cc| {
-            let s = ncols;
-            ncols += cc.triangles().len();
-            s
-        })
-        .collect();
-
-    let total_rows: usize = chain_complexes.iter().map(|cc| cc.edges().len()).sum();
-    let mut a = IntMatrix::zeros(total_rows, ncols);
+        .map(|tp| tp.chain.edges().len())
+        .sum();
     let mut b = vec![0i64; total_rows];
     let mut row0 = 0usize;
-    for (ti, sigma) in triangles.iter().enumerate() {
-        let cc = &chain_complexes[ti];
-        let nrows = cc.edges().len();
+    for (sigma, tp) in triangles.iter().zip(&presentations.per_triangle) {
+        let cc = &tp.chain;
         // Boundary loop from base paths: x0 → x1 → x2 → x0 with signs.
         let vs = sigma.vertices();
         let tri_edges = [
@@ -428,36 +439,36 @@ fn joint_h1_feasible(
         ];
         for (e, sign) in &tri_edges {
             let ei = edges.iter().position(|x| x == e).expect("edge of input"); // chromata-lint: allow(P1): e is drawn from `edges` by the enclosing iteration
-            let env = &envs[e];
-            let Some(chain) = cc.walk_to_chain(&env.base) else {
-                return false; // base path uses an edge outside Δ'(σ): impossible
+            let env = &envs[ei];
+            let Some(chain) = cc.walk_to_sparse_chain(&env.base) else {
+                return Ok(false); // base path uses an edge outside Δ'(σ): impossible
             };
-            for (r, val) in chain.iter().enumerate() {
-                b[row0 + r] -= sign * val;
+            for (r, val) in chain {
+                let bi = &mut b[row0 + r];
+                *bi = bi.checked_sub(sign * val).ok_or(Overflow)?;
             }
-            // Cycle re-routing columns (same sign as the path's use).
+            // Cycle re-routing columns (same sign as the path's use). A
+            // column meets each triangle's row block at most once, so its
+            // rows never repeat.
             for (ci, cyc) in env.cycles.iter().enumerate() {
-                let Some(cchain) = cc.walk_to_chain(cyc) else {
-                    return false;
+                let Some(cchain) = cc.walk_to_sparse_chain(cyc) else {
+                    return Ok(false);
                 };
-                let col = col_of_cycle[&(ei, ci)];
-                for (r, val) in cchain.iter().enumerate() {
-                    a.add_to(row0 + r, col, sign * val);
-                }
+                let col = &mut columns[env.first_col + ci];
+                col.extend(cchain.into_iter().map(|(r, val)| (row0 + r, sign * val)));
             }
         }
         // 2-chain correction columns: −∂₂.
-        for tcol in 0..cc.triangles().len() {
-            for r in 0..nrows {
-                let val = cc.boundary2.get(r, tcol);
-                if val != 0 {
-                    a.add_to(row0 + r, tri_col_start[ti] + tcol, -val);
-                }
-            }
+        for face in cc.boundary2.columns() {
+            columns.push(face.iter().map(|&(r, val)| (row0 + r, -val)).collect());
         }
-        row0 += nrows;
+        row0 += cc.edges().len();
     }
-    is_feasible(&a, &b)
+    let mut a = SparseMatrix::new(total_rows);
+    for col in columns {
+        a.push_column(col);
+    }
+    feasible(&a, &b)
 }
 
 #[cfg(test)]
@@ -567,5 +578,32 @@ mod tests {
             } => {}
             other => panic!("expected skeleton disconnection, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn joint_h1_overflow_is_undecided_with_a_named_reason() {
+        let sigma = Simplex::from_iter([Vertex::of(0, 0), Vertex::of(1, 0), Vertex::of(2, 0)]);
+        // Overflow is undecided even when every image is evidently
+        // abelian; the search reports this message as the Undetermined
+        // outcome's reason.
+        match joint_h1_check(Err(Overflow), &sigma, 2, true, vec!["kept".into()]) {
+            TriangleCheck::Unknown(msg) => assert_eq!(
+                msg,
+                "joint H1 system over 2 triangle image(s) overflowed checked arithmetic — contractibility undecided"
+            ),
+            _ => panic!("an overflowing joint H1 system must be undecided"),
+        }
+        match joint_h1_check(Ok(false), &sigma, 2, true, Vec::new()) {
+            TriangleCheck::HomologyFail(t) => assert_eq!(t, sigma),
+            _ => panic!("an infeasible joint H1 system must fail at the first triangle"),
+        }
+        match joint_h1_check(Ok(true), &sigma, 2, true, vec!["kept".into()]) {
+            TriangleCheck::Pass(certs) => assert_eq!(certs.len(), 2),
+            _ => panic!("a feasible system over abelian images must pass"),
+        }
+        assert!(matches!(
+            joint_h1_check(Ok(true), &sigma, 2, false, Vec::new()),
+            TriangleCheck::Unknown(_)
+        ));
     }
 }

@@ -60,5 +60,6 @@ fn describe(name: &str, spec: &LoopSpec) {
             .collect::<Vec<_>>(),
         cc.is_cycle(&chain),
         cc.is_boundary(&chain)
+            .expect("a surface's boundary system stays within checked arithmetic")
     );
 }
