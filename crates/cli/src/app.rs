@@ -5,9 +5,8 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use chromata::{
-    analyze, analyze_batch_persistent, analyze_governed, analyze_persistent, audit_cache_dir,
-    clear_cache_dir, laps, persist_now, solve_act, stage_cache_stats, warm_start, ActOutcome,
-    Budget, CacheDirConfig, CancelToken, PersistenceReport, PipelineOptions, Verdict,
+    audit_cache_dir, clear_cache_dir, laps, solve_act, ActOutcome, Analysis, Budget,
+    CacheDirConfig, CancelToken, Engine, PipelineOptions, Verdict,
 };
 use chromata_runtime::{verify_figure7, verify_figure7_with_crashes, VerifyError};
 use chromata_task::Task;
@@ -690,40 +689,62 @@ fn summarize_response(raw: &str) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Appends the persistence bookkeeping lines a command prints when a
-/// durable cache directory is active (restores, snapshot writes, and
-/// non-fatal save failures).
-fn cache_report_lines(out: &mut String, config: &CacheDirConfig, report: &PersistenceReport) {
-    let Some(dir) = config.dir() else { return };
-    if let Some(loaded) = &report.loaded {
-        let _ = writeln!(
-            out,
-            "cache: restored {} artifact(s) from {} ({} rejected, {} torn, {} corrupt)",
-            loaded.restored,
-            dir.display(),
-            loaded.rejected_snapshots,
-            loaded.torn_entries,
-            loaded.corrupt_entries
-        );
-    }
-    if let Some(saved) = &report.saved {
-        let _ = writeln!(
-            out,
-            "cache: persisted {} entr{} across {} snapshot(s) to {}",
-            saved.entries_written,
-            if saved.entries_written == 1 {
-                "y"
-            } else {
-                "ies"
-            },
-            saved.files_written,
-            dir.display()
-        );
-    }
-    if let Some(err) = &report.save_error {
+/// Decides one task on `engine`.
+pub(crate) fn analyze_one(
+    engine: &Engine,
+    task: &Task,
+    options: PipelineOptions,
+    budget: &Budget,
+    cancel: &CancelToken,
+) -> Analysis {
+    engine
+        .analyze(std::slice::from_ref(task), options, budget, cancel)
+        .remove(0)
+}
+
+/// Runs `decide` on a fresh engine that is loaded once from the cache
+/// directory before and persisted once after, if one is configured.
+/// Returns what `decide` returned plus the persistence bookkeeping lines
+/// the command prints (restores, snapshot writes, and non-fatal save
+/// failures).
+fn with_engine<T>(config: &CacheDirConfig, decide: impl FnOnce(&Engine) -> T) -> (T, String) {
+    let engine = Engine::new();
+    let Some(dir) = config.dir() else {
+        return (decide(&engine), String::new());
+    };
+    let loaded = engine.load(dir);
+    let value = decide(&engine);
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "cache: restored {} artifact(s) from {} ({} rejected, {} torn, {} corrupt)",
+        loaded.restored,
+        dir.display(),
+        loaded.rejected_snapshots,
+        loaded.torn_entries,
+        loaded.corrupt_entries
+    );
+    match engine.persist(dir) {
+        Ok(saved) => {
+            let _ = writeln!(
+                out,
+                "cache: persisted {} entr{} across {} snapshot(s) to {}",
+                saved.entries_written,
+                if saved.entries_written == 1 {
+                    "y"
+                } else {
+                    "ies"
+                },
+                saved.files_written,
+                dir.display()
+            );
+        }
         // Persistence failures never poison a verdict: warn and go on.
-        let _ = writeln!(out, "cache: WARNING — snapshot not written: {err}");
+        Err(err) => {
+            let _ = writeln!(out, "cache: WARNING — snapshot not written: {err}");
+        }
     }
+    (value, out)
 }
 
 /// Loads a task by registry name or from a JSON file path.
@@ -763,12 +784,11 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
         }
         Command::Analyze { task, act_fallback } => {
             let t = load_task(&task)?;
-            let analysis = analyze(
-                &t,
-                PipelineOptions {
-                    act_fallback_rounds: act_fallback,
-                },
-            );
+            let options = PipelineOptions {
+                act_fallback_rounds: act_fallback,
+            };
+            let (budget, cancel) = (Budget::unlimited(), CancelToken::new());
+            let analysis = analyze_one(&Engine::new(), &t, options, &budget, &cancel);
             let mut out = String::new();
             let _ = writeln!(out, "{t}");
             let lap_list = laps(&t);
@@ -799,14 +819,15 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             cache_dir,
         } => {
             let t = load_task(&task)?;
-            let cache_config = CacheDirConfig::resolve(cache_dir);
-            let (analysis, persistence) = analyze_persistent(
-                &t,
-                PipelineOptions {
-                    act_fallback_rounds: act_fallback,
-                },
-                &cache_config,
-            );
+            let options = PipelineOptions {
+                act_fallback_rounds: act_fallback,
+            };
+            let (budget, cancel) = (Budget::unlimited(), CancelToken::new());
+            let ((analysis, stage_caches), cache_lines) =
+                with_engine(&CacheDirConfig::resolve(cache_dir), |engine| {
+                    let analysis = analyze_one(engine, &t, options, &budget, &cancel);
+                    (analysis, engine.cache_stats())
+                });
             if json {
                 use serde_json::Value;
                 let stages: Vec<Value> = analysis
@@ -825,7 +846,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                         ])
                     })
                     .collect();
-                let caches: Vec<Value> = stage_cache_stats()
+                let caches: Vec<Value> = stage_caches
                     .iter()
                     .map(|(kind, stats)| {
                         json_object(vec![
@@ -868,7 +889,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 analysis.evidence.deterministic_digest()
             );
             let _ = writeln!(out, "stage caches:");
-            for (kind, stats) in stage_cache_stats() {
+            for (kind, stats) in stage_caches {
                 let _ = writeln!(
                     out,
                     "  {:<13} hits {:>6} (reuse {:>6})  misses {:>6}  evictions {:>6}  restored {:>6}  recovered {:>3}",
@@ -881,7 +902,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                     stats.recovery_events()
                 );
             }
-            cache_report_lines(&mut out, &cache_config, &persistence);
+            out.push_str(&cache_lines);
             Ok(out)
         }
         Command::Batch {
@@ -902,14 +923,14 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 .iter()
                 .map(|s| load_task(s))
                 .collect::<Result<_, _>>()?;
-            let cache_config = CacheDirConfig::resolve(cache_dir);
-            let (analyses, persistence) = analyze_batch_persistent(
-                &loaded,
-                PipelineOptions {
-                    act_fallback_rounds: act_fallback,
-                },
-                &cache_config,
-            );
+            let options = PipelineOptions {
+                act_fallback_rounds: act_fallback,
+            };
+            let (budget, cancel) = (Budget::unlimited(), CancelToken::new());
+            let (analyses, cache_lines) =
+                with_engine(&CacheDirConfig::resolve(cache_dir), |engine| {
+                    engine.analyze(&loaded, options, &budget, &cancel)
+                });
             let mut out = String::new();
             for (spec, a) in specs.iter().zip(&analyses) {
                 if digests {
@@ -929,7 +950,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                     );
                 }
             }
-            cache_report_lines(&mut out, &cache_config, &persistence);
+            out.push_str(&cache_lines);
             Ok(out)
         }
         Command::Fuzz {
@@ -954,9 +975,9 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             let options = PipelineOptions {
                 act_fallback_rounds: act_fallback,
             };
-            // Start cold so the reported ratio is the campaign's own,
-            // not inherited from an earlier command in this process.
-            chromata::clear_stage_caches();
+            // A fresh engine: the reported ratio is the campaign's own.
+            let engine = Engine::new();
+            let (budget, cancel) = (Budget::unlimited(), CancelToken::new());
             let total = bases.len() * rounds;
             let sample_step = (total / 8).max(1);
             let watch = Stopwatch::start();
@@ -965,7 +986,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             for base in &bases {
                 for k in 0..rounds {
                     let mutant = chromata_task::mutate_task(base, seed, k as u64);
-                    let a = analyze(&mutant, options);
+                    let a = analyze_one(&engine, &mutant, options, &budget, &cancel);
                     if analyzed.is_multiple_of(sample_step) {
                         sampled.push((mutant, a.evidence.deterministic_digest()));
                     }
@@ -974,7 +995,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             }
             let elapsed = watch.elapsed();
             let (mut reuse, mut granular_lookups) = (0u64, 0u64);
-            for (kind, stats) in stage_cache_stats() {
+            for (kind, stats) in engine.cache_stats() {
                 if matches!(
                     kind,
                     chromata::ArtifactKind::LinkGraphs | chromata::ArtifactKind::Presentations
@@ -1005,13 +1026,14 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 out,
                 "stage-artifact reuse: {reuse} reuse hit(s) / {granular_lookups} granular lookup(s) = ratio {ratio:.3}",
             );
-            // Warm-vs-cold digest parity on a spread sample: clearing
-            // every cache and re-deciding must reproduce each sampled
-            // evidence digest byte-for-byte.
+            // Warm-vs-cold digest parity on a spread sample: re-deciding
+            // on a fresh engine must reproduce each sampled evidence
+            // digest byte-for-byte.
             let mut parity_ok = 0usize;
             for (mutant, warm) in &sampled {
-                chromata::clear_stage_caches();
-                let cold = analyze(mutant, options).evidence.deterministic_digest();
+                let cold = analyze_one(&Engine::new(), mutant, options, &budget, &cancel)
+                    .evidence
+                    .deterministic_digest();
                 let verdict = if cold == *warm { "ok" } else { "MISMATCH" };
                 parity_ok += usize::from(cold == *warm);
                 let _ = writeln!(
@@ -1136,11 +1158,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             cache_dir,
         } => {
             let t = load_task(&task)?;
-            let cache_config = CacheDirConfig::resolve(cache_dir);
-            let mut persistence = PersistenceReport {
-                loaded: warm_start(&cache_config),
-                ..PersistenceReport::default()
-            };
             let mut budget = Budget::unlimited()
                 .with_max_states(max_states)
                 .with_max_steps(500)
@@ -1149,14 +1166,13 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 budget = budget.with_deadline_in(std::time::Duration::from_millis(ms));
             }
             let cancel = CancelToken::new();
-            let analysis = analyze_governed(
-                &t,
-                PipelineOptions {
-                    act_fallback_rounds: act_rounds,
-                },
-                &budget,
-                &cancel,
-            );
+            let options = PipelineOptions {
+                act_fallback_rounds: act_rounds,
+            };
+            let (analysis, cache_lines) =
+                with_engine(&CacheDirConfig::resolve(cache_dir), |engine| {
+                    analyze_one(engine, &t, options, &budget, &cancel)
+                });
             let mut out = String::new();
             let _ = writeln!(out, "{t}");
             match &analysis.verdict {
@@ -1192,12 +1208,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                     }
                 }
             }
-            match persist_now(&cache_config) {
-                Some(Ok(saved)) => persistence.saved = Some(saved),
-                Some(Err(error)) => persistence.save_error = Some(error),
-                None => {}
-            }
-            cache_report_lines(&mut out, &cache_config, &persistence);
+            out.push_str(&cache_lines);
             Ok(out)
         }
         Command::Serve {
@@ -1765,10 +1776,6 @@ mod tests {
 
     #[test]
     fn run_explain_json_is_machine_readable() {
-        // Force a live run: a verdict-cache replay reports subkeys 0
-        // (per-branch telemetry is process-circumstantial, not part of
-        // the replayable trace).
-        chromata::clear_stage_caches();
         let out = run(Command::Explain {
             cache_dir: None,
             task: "consensus".into(),

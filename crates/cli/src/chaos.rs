@@ -11,7 +11,8 @@
 //! * **net** — connection floods, slow-loris holds, and malformed
 //!   bursts over real TCP against the admission layer;
 //! * **signal** — a SIGTERM delivered through the `chromata-signal`
-//!   watcher, followed by a warm restart from the cache directory.
+//!   watcher, followed by a warm restart: a fresh engine that answers
+//!   from the cache directory's `verdict.snap` alone.
 //!
 //! After every round the campaign asserts the standing invariants: the
 //! served verdict and evidence digest match a clean oracle run, the
@@ -27,12 +28,13 @@ use std::fmt::Write as _;
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Duration;
 
 use chromata::topology::govern::Stopwatch;
 use chromata::{
-    analyze_governed, audit_cache_dir, clear_stage_caches, persist_failures, store_read_through,
-    Budget, CancelToken, FaultKind, FaultSchedule, NetFault, PersistChaos, PlannedFault, Verdict,
+    audit_cache_dir, Budget, CancelToken, Engine, FaultKind, FaultSchedule, NetFault, PersistChaos,
+    PlannedFault, Verdict,
 };
 use chromata_task::{mutate_task, Task};
 
@@ -71,33 +73,40 @@ pub struct ChaosOptions {
     pub cache_dir: Option<PathBuf>,
 }
 
-/// One running server plus its signal watcher.
+/// One running server, its engine, and its signal watcher.
 struct Daemon {
     server: Server,
+    engine: Arc<Engine>,
     addr: String,
     handle: ShutdownHandle,
     watch: Option<chromata_signal::SignalWatch>,
 }
 
 impl Daemon {
-    fn boot(dir: &Path) -> Result<Daemon, CliError> {
-        let server = Server::start(ServeOptions {
-            addr: "127.0.0.1:0".to_owned(),
-            threads: 2,
-            analysis_slots: None,
-            queue: None,
-            max_payload: crate::wire::DEFAULT_MAX_PAYLOAD,
-            budget_ms: None,
-            max_states: usize::MAX,
-            cache_dir: Some(dir.to_path_buf()),
-            // Persistence is driven explicitly (`op: "persist"`) so the
-            // schedule, not a background cadence, decides when the
-            // armed persist fault fires.
-            persist_secs: 0,
-            // A short idle timeout bounds how long a slow-loris socket
-            // can pin a worker.
-            idle_timeout_secs: 1,
-        })?;
+    /// Boots a server on a fresh engine wired to `chaos`: everything it
+    /// knows at boot comes from the snapshot in `dir`.
+    fn boot(dir: &Path, chaos: &Arc<PersistChaos>) -> Result<Daemon, CliError> {
+        let engine = Arc::new(Engine::with_chaos(Arc::clone(chaos)));
+        let server = Server::start_with(
+            Arc::clone(&engine),
+            ServeOptions {
+                addr: "127.0.0.1:0".to_owned(),
+                threads: 2,
+                analysis_slots: None,
+                queue: None,
+                max_payload: crate::wire::DEFAULT_MAX_PAYLOAD,
+                budget_ms: None,
+                max_states: usize::MAX,
+                cache_dir: Some(dir.to_path_buf()),
+                // Persistence is driven explicitly (`op: "persist"`) so the
+                // schedule, not a background cadence, decides when the
+                // armed persist fault fires.
+                persist_secs: 0,
+                // A short idle timeout bounds how long a slow-loris socket
+                // can pin a worker.
+                idle_timeout_secs: 1,
+            },
+        )?;
         let addr = server.local_addr().to_string();
         let handle = server.shutdown_handle();
         let watch = if chromata_signal::supported() {
@@ -108,6 +117,7 @@ impl Daemon {
         };
         Ok(Daemon {
             server,
+            engine,
             addr,
             handle,
             watch,
@@ -133,12 +143,13 @@ impl Daemon {
     }
 
     /// Joins the server (final persist included) and the watcher.
-    fn join(self) -> String {
+    /// Returns the server's summary and its engine.
+    fn join(self) -> (String, Arc<Engine>) {
         let summary = self.server.wait();
         if let Some(watch) = self.watch {
             watch.stop();
         }
-        summary
+        (summary, self.engine)
     }
 }
 
@@ -260,28 +271,34 @@ pub fn run_campaign(opts: &ChaosOptions) -> Result<String, CliError> {
         })
         .collect::<Result<_, _>>()?;
 
-    // Oracle pass: the same stream, clean process — the ground truth
-    // every faulted round must reproduce.
-    clear_stage_caches();
-    let budget = Budget::unlimited();
-    let cancel = CancelToken::new();
-    let mut stream: Vec<(Task, String, String)> = Vec::with_capacity(opts.rounds);
-    for round in 0..opts.rounds {
-        let base = &bases[round % bases.len()];
-        let mutant = mutate_task(base, opts.seed, round as u64);
-        let analysis = analyze_governed(&mutant, Default::default(), &budget, &cancel);
-        let label = verdict_label(&analysis.verdict).to_owned();
-        let digest = format!("{:016x}", analysis.evidence.deterministic_digest());
-        stream.push((mutant, label, digest));
-    }
+    // Oracle pass: the same stream on an engine of its own — the ground
+    // truth every faulted round must reproduce.
+    let mutants: Vec<Task> = (0..opts.rounds)
+        .map(|round| mutate_task(&bases[round % bases.len()], opts.seed, round as u64))
+        .collect();
+    let oracle = Engine::new().analyze(
+        &mutants,
+        Default::default(),
+        &Budget::unlimited(),
+        &CancelToken::new(),
+    );
+    let stream: Vec<(Task, String, String)> = mutants
+        .into_iter()
+        .zip(&oracle)
+        .map(|(mutant, analysis)| {
+            let label = verdict_label(&analysis.verdict).to_owned();
+            let digest = format!("{:016x}", analysis.evidence.deterministic_digest());
+            (mutant, label, digest)
+        })
+        .collect();
 
-    // Campaign: cold caches, chaos seams installed, live server.
-    clear_stage_caches();
+    // Campaign: a cold cache directory, the persist seam wired into
+    // every daemon's engine, live server.
     let dir = opts.cache_dir.clone().unwrap_or_else(|| {
         std::env::temp_dir().join(format!("chromata-chaos-{}", std::process::id()))
     });
     let _ = std::fs::remove_dir_all(&dir);
-    let persist_chaos = PersistChaos::install();
+    let persist_chaos = PersistChaos::new();
     let schedule = FaultSchedule::new(opts.seed, &opts.kinds);
 
     let mut breaches: Vec<String> = Vec::new();
@@ -292,11 +309,12 @@ pub fn run_campaign(opts: &ChaosOptions) -> Result<String, CliError> {
     let mut max_recovery_ms = 0u64;
     let mut restarts = 0u64;
     let mut signal_path_restarts = 0u64;
+    let mut persist_failures = 0u64;
     let mut held_loris: Vec<TcpStream> = Vec::new();
 
     // `None` after a failed warm restart: the campaign stops there and
     // reports the breach rather than cascading one per round.
-    let mut daemon: Option<Daemon> = Some(Daemon::boot(&dir)?);
+    let mut daemon: Option<Daemon> = Some(Daemon::boot(&dir, &persist_chaos)?);
     for (round, (mutant, want_verdict, want_digest)) in stream.iter().enumerate() {
         // Last round's slow-loris sockets are released here; their EOF
         // mid-line is itself served as a (malformed) request.
@@ -325,9 +343,9 @@ pub fn run_campaign(opts: &ChaosOptions) -> Result<String, CliError> {
                         Err(e) => breaches
                             .push(format!("round {round}: persist probe failed outright: {e}")),
                     }
-                    if !store_read_through() {
+                    if !live.engine.read_through() {
                         breaches.push(format!(
-                            "round {round}: store not read-through after a failed snapshot"
+                            "round {round}: engine not read-through after a failed snapshot"
                         ));
                     }
                     // …and the next cadence, fault cleared, must heal.
@@ -349,10 +367,10 @@ pub fn run_campaign(opts: &ChaosOptions) -> Result<String, CliError> {
                 PlannedFault::Signal => {
                     let Some(old) = daemon.take() else { continue };
                     let via_signal = old.terminate();
-                    let _ = old.join();
+                    persist_failures += old.join().1.persist_failures();
                     restarts += 1;
                     signal_path_restarts += u64::from(via_signal);
-                    match Daemon::boot(&dir) {
+                    match Daemon::boot(&dir, &persist_chaos) {
                         Ok(next) => daemon = Some(next),
                         Err(e) => {
                             breaches.push(format!("round {round}: warm restart failed: {e}"));
@@ -410,15 +428,16 @@ pub fn run_campaign(opts: &ChaosOptions) -> Result<String, CliError> {
     }
     held_loris.clear();
 
-    // Teardown: graceful shutdown (final persist), seams restored.
-    let summary = match daemon.take() {
+    // Teardown: graceful shutdown (final persist).
+    let (summary, read_through) = match daemon.take() {
         Some(live) => {
             live.handle.request();
-            live.join()
+            let (summary, engine) = live.join();
+            persist_failures += engine.persist_failures();
+            (summary, engine.read_through())
         }
-        None => "serve: server lost mid-campaign".to_owned(),
+        None => ("serve: server lost mid-campaign".to_owned(), false),
     };
-    PersistChaos::uninstall();
 
     // The surviving cache directory must audit clean: the snapshot the
     // campaign's persists (including the failed ones) left behind is
@@ -467,9 +486,7 @@ pub fn run_campaign(opts: &ChaosOptions) -> Result<String, CliError> {
     );
     let _ = writeln!(
         out,
-        "persist failures observed: {} (read-through now: {})",
-        persist_failures(),
-        store_read_through()
+        "persist failures observed: {persist_failures} (read-through now: {read_through})"
     );
     let _ = writeln!(out, "digest parity: {parity_ok}/{} ok", stream.len());
     let _ = writeln!(out, "invariant breaches: {}", breaches.len());

@@ -1,9 +1,9 @@
 //! `chromata serve` — a long-lived, dependency-free verdict daemon.
 //!
 //! The server accepts newline-delimited JSON requests (see
-//! [`crate::wire`]) over TCP, dispatches them through
-//! [`chromata::analyze_governed`] against the process-wide warm
-//! [`chromata::ArtifactStore`], and answers every request — including
+//! [`crate::wire`]) over TCP, decides them on one warm
+//! [`chromata::Engine`] (the process default, or one handed to
+//! [`Server::start_with`]), and answers every request — including
 //! malformed and rejected ones — with exactly one structured response
 //! line. Admission control is layered:
 //!
@@ -31,7 +31,7 @@
 //! Failure containment added by the chaos PR:
 //!
 //! * a failed snapshot (ENOSPC, short write) leaves the previous
-//!   snapshot intact, flips the store into read-through degradation,
+//!   snapshot intact, flips the engine into read-through degradation,
 //!   and is retried on the next cadence — serving never wedges;
 //! * a task whose analysis panics a worker repeatedly is quarantined
 //!   by structural fingerprint and answered with a structured
@@ -56,11 +56,11 @@ use std::time::Duration;
 use chromata::topology::govern::{Gate, Stopwatch};
 use chromata::topology::structural_fingerprint;
 use chromata::{
-    analyze_governed, load_cache_dir, persist_failures, persist_now, stage_cache_stats,
-    store_read_through, Budget, CacheDirConfig, CancelToken, LoadReport, PipelineOptions, Verdict,
+    Budget, CacheDirConfig, CancelToken, Engine, LoadReport, PersistError, PipelineOptions,
+    SaveReport, Verdict,
 };
 
-use crate::app::CliError;
+use crate::app::{analyze_one, CliError};
 use crate::registry;
 use crate::wire::{self, AnalyzeRequest, Request, TaskSpec};
 
@@ -130,8 +130,9 @@ impl PoisonTable {
     }
 }
 
-/// Tuning knobs for [`Server::start`]. `Default` gives a loopback
-/// server sized to the machine with persistence disabled.
+/// Tuning knobs for [`Server::start`] and [`Server::start_with`].
+/// `Default` gives a loopback server sized to the machine with
+/// persistence disabled.
 #[derive(Clone, Debug)]
 pub struct ServeOptions {
     /// Bind address. Port 0 asks the OS for a free port; read the
@@ -194,6 +195,7 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// State shared by the accept thread, workers, and persister.
 struct Shared {
     addr: SocketAddr,
+    engine: Arc<Engine>,
     queue: Mutex<VecDeque<TcpStream>>,
     ready: Condvar,
     shutdown: AtomicBool,
@@ -218,6 +220,12 @@ struct Shared {
 }
 
 impl Shared {
+    /// Snapshots the engine into the cache directory; `None` when
+    /// persistence is disabled.
+    fn persist(&self) -> Option<Result<SaveReport, PersistError>> {
+        self.cache.dir().map(|dir| self.engine.persist(dir))
+    }
+
     /// Flips the shutdown flag once and wakes every blocked thread:
     /// workers (condvar), the persister (its condvar), in-flight
     /// analyses (cancel token), and the accept loop (a self-connect).
@@ -254,9 +262,10 @@ impl ShutdownHandle {
     }
 }
 
-/// A running server. Obtain one with [`Server::start`]; it keeps
-/// serving until a `shutdown` request arrives, then [`Server::wait`]
-/// joins the threads and runs the final persist.
+/// A running server. Obtain one with [`Server::start`] or
+/// [`Server::start_with`]; it keeps serving until a `shutdown` request
+/// arrives, then [`Server::wait`] joins the threads and runs the final
+/// persist.
 pub struct Server {
     shared: Arc<Shared>,
     loaded: Option<LoadReport>,
@@ -266,23 +275,32 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds, warm-starts the verdict cache, and spawns the accept
-    /// thread, worker pool, and (if configured) background persister.
+    /// [`Server::start_with`] on the process-default engine
+    /// ([`chromata::default_engine`]).
     ///
     /// # Errors
     ///
     /// Fails if the address cannot be bound or a thread cannot spawn.
     pub fn start(opts: ServeOptions) -> Result<Server, CliError> {
+        Server::start_with(Arc::clone(chromata::default_engine()), opts)
+    }
+
+    /// Binds, warm-starts `engine`'s verdict cache from the cache
+    /// directory, and spawns the accept thread, worker pool, and (if
+    /// configured) background persister. Every request is decided on
+    /// `engine`.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the address cannot be bound or a thread cannot spawn.
+    pub fn start_with(engine: Arc<Engine>, opts: ServeOptions) -> Result<Server, CliError> {
         let listener = TcpListener::bind(&opts.addr)
             .map_err(|e| CliError(format!("serve: cannot bind {}: {e}", opts.addr)))?;
         let addr = listener
             .local_addr()
             .map_err(|e| CliError(format!("serve: cannot read bound address: {e}")))?;
         let cache = CacheDirConfig::resolve(opts.cache_dir.clone());
-        // Unconditional load (not the once-per-dir `warm_start` guard):
-        // a daemon boot is an explicit restore point, and a restart
-        // within one test process must still warm from disk.
-        let loaded = load_cache_dir(&cache);
+        let loaded = cache.dir().map(|dir| engine.load(dir));
         let threads = if opts.threads == 0 {
             std::thread::available_parallelism().map_or(4, usize::from)
         } else {
@@ -292,6 +310,7 @@ impl Server {
         let queue_cap = opts.queue.unwrap_or(threads.saturating_mul(4));
         let shared = Arc::new(Shared {
             addr,
+            engine,
             queue: Mutex::new(VecDeque::new()),
             ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -414,17 +433,15 @@ impl Server {
             drop(persister.join());
         }
         let mut persisted = String::new();
-        if self.shared.cache.is_enabled() {
-            match persist_now(&self.shared.cache) {
-                Some(Ok(report)) => {
-                    persisted = format!(
-                        "; persisted {} entr(ies) across {} file(s)",
-                        report.entries_written, report.files_written
-                    );
-                }
-                Some(Err(e)) => persisted = format!("; final persist failed: {e}"),
-                None => {}
+        match self.shared.persist() {
+            Some(Ok(report)) => {
+                persisted = format!(
+                    "; persisted {} entr(ies) across {} file(s)",
+                    report.entries_written, report.files_written
+                );
             }
+            Some(Err(e)) => persisted = format!("; final persist failed: {e}"),
+            None => {}
         }
         let shared = &self.shared;
         let abandoned = if stalled > 0 {
@@ -697,13 +714,15 @@ fn dispatch(line: &str, shared: &Shared) -> (String, bool) {
         }
         Ok(Request::Ping) => (wire::pong_response(), false),
         Ok(Request::Stats) => {
-            let caches = stage_cache_stats()
+            let caches = shared
+                .engine
+                .cache_stats()
                 .iter()
                 .map(|(kind, stats)| wire::cache_stats_value(kind.name(), stats))
                 .collect();
             let health = wire::HealthStats {
-                persist_failures: persist_failures(),
-                read_through: store_read_through(),
+                persist_failures: shared.engine.persist_failures(),
+                read_through: shared.engine.read_through(),
                 quarantined: shared.poison.quarantined(),
             };
             (
@@ -719,7 +738,7 @@ fn dispatch(line: &str, shared: &Shared) -> (String, bool) {
                 false,
             )
         }
-        Ok(Request::Persist) => match persist_now(&shared.cache) {
+        Ok(Request::Persist) => match shared.persist() {
             None => (wire::error_response("no cache directory configured"), false),
             Some(Ok(report)) => {
                 shared.dirty.store(0, Ordering::Release);
@@ -753,7 +772,7 @@ fn handle_analyze(req: &AnalyzeRequest, shared: &Shared) -> String {
         TaskSpec::Inline(task) => (**task).clone(),
     };
     if task.process_count() > 3 {
-        // `analyze_governed` asserts this; pre-checking keeps the
+        // `Engine::analyze` asserts this; pre-checking keeps the
         // worker alive and the rejection structured.
         shared.malformed.fetch_add(1, Ordering::Relaxed);
         return wire::error_response(&format!(
@@ -797,9 +816,9 @@ fn handle_analyze(req: &AnalyzeRequest, shared: &Shared) -> String {
     let clock = Stopwatch::start();
     // A panic in the analysis pipeline must cost one response, not one
     // worker: catch it and answer a structured internal error. The
-    // store's locks recover from poisoning (see `SharedCache`).
+    // engine's cache locks recover from poisoning (see `SharedCache`).
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        analyze_governed(&task, options, &budget, &shared.cancel)
+        analyze_one(&shared.engine, &task, options, &budget, &shared.cancel)
     }));
     let wall_ms = clock.elapsed().as_secs_f64() * 1000.0;
     match outcome {
@@ -856,7 +875,7 @@ fn persist_loop(shared: &Shared) {
         if shared.dirty.swap(0, Ordering::AcqRel) == 0 {
             continue;
         }
-        if let Some(Err(_)) = persist_now(&shared.cache) {
+        if let Some(Err(_)) = shared.persist() {
             shared.save_errors.fetch_add(1, Ordering::Relaxed);
             // The snapshot failed after `dirty` was already swapped to
             // zero; re-mark it so the next cadence retries instead of

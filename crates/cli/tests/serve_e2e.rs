@@ -15,26 +15,22 @@
 //! 4. **Durability** — analyses persist on graceful shutdown and a
 //!    warm restart restores them.
 //!
-//! The servers bind loopback port 0 (OS-assigned) and run in-process;
-//! the process-wide artifact store is shared, so every test serializes
-//! through [`store_guard`].
+//! The servers bind loopback port 0 (OS-assigned) and run in-process,
+//! each on an engine of its own, so tests share no cached state.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use chromata::{analyze, clear_stage_caches, PipelineOptions};
+use chromata::{Budget, CancelToken, Engine, PipelineOptions};
 use chromata_cli::serve::{request_line, ServeOptions, Server};
 use chromata_task::library::{hourglass, identity_task, pinwheel, two_set_agreement};
 use serde_json::Value;
 
-fn store_guard() -> std::sync::MutexGuard<'static, ()> {
-    static GUARD: OnceLock<Mutex<()>> = OnceLock::new();
-    GUARD
-        .get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
+/// A server on a fresh engine.
+fn start(opts: ServeOptions) -> Server {
+    Server::start_with(Arc::new(Engine::new()), opts).unwrap()
 }
 
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
@@ -89,15 +85,17 @@ fn task_set() -> Vec<(&'static str, chromata_task::Task)> {
 
 #[test]
 fn concurrent_clients_match_sequential_cold_digests() {
-    let _guard = store_guard();
     let tasks = task_set();
 
-    // Sequential cold single-shot baseline.
-    clear_stage_caches();
+    // Sequential cold single-shot baseline, each task on a fresh engine.
     let baseline: Vec<(String, String)> = tasks
         .iter()
         .map(|(_, t)| {
-            let a = analyze(t, PipelineOptions::default());
+            let tasks = std::slice::from_ref(t);
+            let options = PipelineOptions::default();
+            let a =
+                &Engine::new().analyze(tasks, options, &Budget::unlimited(), &CancelToken::new())
+                    [0];
             (
                 a.verdict.to_string(),
                 format!("{:016x}", a.evidence.deterministic_digest()),
@@ -105,8 +103,7 @@ fn concurrent_clients_match_sequential_cold_digests() {
         })
         .collect();
 
-    clear_stage_caches();
-    let server = Server::start(options()).unwrap();
+    let server = start(options());
     let addr = server.local_addr().to_string();
 
     const CLIENTS: usize = 8;
@@ -155,12 +152,10 @@ fn concurrent_clients_match_sequential_cold_digests() {
 
 #[test]
 fn zero_slot_server_answers_unknown_with_retry_hint_in_bounded_time() {
-    let _guard = store_guard();
-    let server = Server::start(ServeOptions {
+    let server = start(ServeOptions {
         analysis_slots: Some(0),
         ..options()
-    })
-    .unwrap();
+    });
     let addr = server.local_addr().to_string();
 
     let started = Instant::now();
@@ -190,12 +185,10 @@ fn zero_slot_server_answers_unknown_with_retry_hint_in_bounded_time() {
 
 #[test]
 fn zero_queue_server_rejects_connections_with_a_response_not_a_drop() {
-    let _guard = store_guard();
-    let server = Server::start(ServeOptions {
+    let server = start(ServeOptions {
         queue: Some(0),
         ..options()
-    })
-    .unwrap();
+    });
     let addr = server.local_addr().to_string();
 
     // Every connection is over the connection-level bound: the accept
@@ -221,8 +214,7 @@ fn zero_queue_server_rejects_connections_with_a_response_not_a_drop() {
 
 #[test]
 fn budget_starved_request_degrades_to_unknown_with_retry_hint() {
-    let _guard = store_guard();
-    let server = Server::start(options()).unwrap();
+    let server = start(options());
     let addr = server.local_addr().to_string();
 
     // An already-elapsed deadline trips the pre-tier budget guard:
@@ -251,12 +243,10 @@ fn budget_starved_request_degrades_to_unknown_with_retry_hint() {
 /// must still serve a valid request afterwards.
 #[test]
 fn malformed_requests_get_structured_errors_and_the_connection_survives() {
-    let _guard = store_guard();
-    let server = Server::start(ServeOptions {
+    let server = start(ServeOptions {
         max_payload: 4096,
         ..options()
-    })
-    .unwrap();
+    });
     let addr = server.local_addr().to_string();
 
     let stream = TcpStream::connect(&addr).unwrap();
@@ -323,13 +313,11 @@ fn malformed_requests_get_structured_errors_and_the_connection_survives() {
 /// request must still succeed.
 #[test]
 fn fuzzed_request_bytes_never_kill_a_worker() {
-    let _guard = store_guard();
-    let server = Server::start(ServeOptions {
+    let server = start(ServeOptions {
         threads: 2,
         max_payload: 4096,
         ..options()
-    })
-    .unwrap();
+    });
     let addr = server.local_addr().to_string();
 
     let valid = br#"{"task":"hourglass","act_fallback":1,"budget_ms":5000}"#;
@@ -419,13 +407,11 @@ fn fuzzed_request_bytes_never_kill_a_worker() {
 /// held must be free for the next honest client.
 #[test]
 fn a_stalled_half_request_is_timed_out_and_frees_its_worker_slot() {
-    let _guard = store_guard();
-    let server = Server::start(ServeOptions {
+    let server = start(ServeOptions {
         threads: 1, // one slot: the loris would starve the whole pool
         idle_timeout_secs: 1,
         ..options()
-    })
-    .unwrap();
+    });
     let addr = server.local_addr().to_string();
 
     // Half a request, no newline, then silence.
@@ -476,16 +462,13 @@ fn a_stalled_half_request_is_timed_out_and_frees_its_worker_slot() {
 
 #[test]
 fn graceful_shutdown_persists_and_warm_restart_restores() {
-    let _guard = store_guard();
     let dir = scratch_dir("restart");
 
-    clear_stage_caches();
-    let server = Server::start(ServeOptions {
+    let server = start(ServeOptions {
         cache_dir: Some(dir.clone()),
         persist_secs: 0, // exercise the shutdown-path persist, not the cadence
         ..options()
-    })
-    .unwrap();
+    });
     let addr = server.local_addr().to_string();
     let first = json_line(&request_line(&addr, r#"{"task":"hourglass"}"#, 60).unwrap());
     assert_eq!(str_field(&first, "status"), "ok");
@@ -499,18 +482,16 @@ fn graceful_shutdown_persists_and_warm_restart_restores() {
     assert!(summary.contains("persisted"), "{summary}");
     assert!(dir.join("verdict.snap").exists(), "no verdict snapshot");
 
-    // Wipe the in-memory store; a warm restart must restore from disk
-    // and serve the byte-identical digest.
-    clear_stage_caches();
-    let server = Server::start(ServeOptions {
+    // A restart on a fresh engine must restore from disk alone and
+    // serve the byte-identical digest.
+    let server = start(ServeOptions {
         cache_dir: Some(dir.clone()),
         persist_secs: 0,
         ..options()
-    })
-    .unwrap();
+    });
     assert!(
-        server.loaded().is_some_and(|l| l.restored > 0),
-        "warm start restored nothing"
+        server.loaded().is_some_and(|l| l.restored == 1),
+        "the restart must restore exactly the one persisted verdict"
     );
     let addr = server.local_addr().to_string();
     let again = json_line(&request_line(&addr, r#"{"task":"hourglass"}"#, 60).unwrap());
@@ -524,14 +505,12 @@ fn graceful_shutdown_persists_and_warm_restart_restores() {
 fn shutdown_abandons_a_stalled_connection_within_the_drain_deadline() {
     use chromata_cli::serve::SHUTDOWN_DRAIN_SECS;
 
-    let _guard = store_guard();
     // A long idle timeout: a worker stuck reading this connection would
     // otherwise block `wait` far past any reasonable shutdown.
-    let server = Server::start(ServeOptions {
+    let server = start(ServeOptions {
         idle_timeout_secs: 120,
         ..options()
-    })
-    .unwrap();
+    });
     let addr = server.local_addr().to_string();
     let ok = json_line(&request_line(&addr, r#"{"op":"ping"}"#, 30).unwrap());
     assert_eq!(str_field(&ok, "op"), "ping");
@@ -564,16 +543,13 @@ fn sigterm_through_the_watcher_persists_and_warm_restart_matches() {
     if !chromata_signal::supported() {
         return; // no signal syscalls on this target; covered elsewhere
     }
-    let _guard = store_guard();
     let dir = scratch_dir("sigterm");
 
-    clear_stage_caches();
-    let server = Server::start(ServeOptions {
+    let server = start(ServeOptions {
         cache_dir: Some(dir.clone()),
         persist_secs: 0,
         ..options()
-    })
-    .unwrap();
+    });
     let addr = server.local_addr().to_string();
     let handle = server.shutdown_handle();
     let watch =
@@ -600,18 +576,16 @@ fn sigterm_through_the_watcher_persists_and_warm_restart_matches() {
     assert!(summary.contains("persisted"), "{summary}");
     assert!(dir.join("verdict.snap").exists(), "no verdict snapshot");
 
-    // The signal-driven persist must be a complete snapshot: a warm
-    // restart serves the byte-identical digest.
-    clear_stage_caches();
-    let server = Server::start(ServeOptions {
+    // The signal-driven persist must be a complete snapshot: a restart
+    // on a fresh engine serves the byte-identical digest.
+    let server = start(ServeOptions {
         cache_dir: Some(dir.clone()),
         persist_secs: 0,
         ..options()
-    })
-    .unwrap();
+    });
     assert!(
-        server.loaded().is_some_and(|l| l.restored > 0),
-        "warm start restored nothing"
+        server.loaded().is_some_and(|l| l.restored == 1),
+        "the restart must restore exactly the one persisted verdict"
     );
     let addr = server.local_addr().to_string();
     let again = json_line(&request_line(&addr, r#"{"task":"hourglass"}"#, 60).unwrap());

@@ -37,7 +37,9 @@
 //! * [`decide_two_process`] / [`synthesize_two_process`] — Proposition
 //!   5.4's complete two-process decider, with search-free witness
 //!   synthesis for the solvable side;
-//! * [`analyze`] — the end-to-end pipeline.
+//! * [`Engine`] — the end-to-end pipeline as a value: its stage caches,
+//!   its snapshot I/O and [`Engine::analyze`], the one entry point;
+//!   [`analyze`] decides one task on the [`default_engine`].
 //!
 //! The re-exported crates [`topology`], [`algebra`], [`subdivision`]
 //! and [`task`] provide the substrates.
@@ -48,6 +50,7 @@
 mod act;
 mod continuous;
 mod corollaries;
+mod engine;
 mod lap;
 mod pipeline;
 mod splitting;
@@ -61,12 +64,12 @@ pub use act::{
 pub use chromata_topology::{Budget, CancelToken, Interrupt};
 pub use continuous::{continuous_map_exists, ContinuousOutcome, ImpossibilityReason};
 pub use corollaries::{corollary_5_5, crossing_graph, every_cycle_crosses_a_lap};
-pub use lap::{first_lap_of_facet, laps, Lap};
-pub use pipeline::{
-    analyze, analyze_batch, analyze_batch_governed, analyze_batch_persistent, analyze_governed,
-    analyze_persistent, Analysis, DecisionCacheStats, Obstruction, PersistenceReport,
-    PipelineOptions, Verdict,
+pub use engine::{
+    analyze, analyze_batch, clear_stage_caches, default_engine, load_cache_dir, persist_now,
+    stage_cache_stats, Engine,
 };
+pub use lap::{first_lap_of_facet, laps, Lap};
+pub use pipeline::{Analysis, DecisionCacheStats, Obstruction, PipelineOptions, Verdict};
 pub use splitting::{
     split_all, split_once, transport_witness, unsplit_simplex, unsplit_vertex, SplitOutcome,
 };
@@ -74,17 +77,13 @@ pub use stages::artifacts::{
     ComponentPresentation, ExplorationReport, HomologyReport, LinkGraphs, Presentations,
     SubdividedComplex, TrianglePresentations,
 };
-pub use stages::cache::{
-    clear_stage_caches, set_stage_cache_capacity, stage_cache_stats, ArtifactKind, ArtifactStore,
-    SharedCache, StageCache,
-};
+pub use stages::cache::{ArtifactKind, ArtifactStore, SharedCache, StageCache};
 pub use stages::chaos::{
     parse_fault_kinds, FaultKind, FaultSchedule, NetFault, PersistChaos, PersistFault,
     PlannedFault, ALL_FAULT_KINDS,
 };
 pub use stages::persist::{
-    audit_cache_dir, clear_cache_dir, load_cache_dir, persist_failures, persist_now,
-    store_read_through, warm_start, CacheDirConfig, LoadReport, PersistError, SaveReport,
+    audit_cache_dir, clear_cache_dir, CacheDirConfig, LoadReport, PersistError, SaveReport,
     SnapshotAudit, SnapshotStatus, CACHE_DIR_ENV,
 };
 pub use stages::{CacheEvent, EvidenceChain, Stage, StageEvidence, StageOutcome};

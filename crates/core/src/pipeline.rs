@@ -10,14 +10,14 @@
 //! Proposition 5.4 (no splitting; the continuous check on a 1-dimensional
 //! input is exact). One-process tasks are trivially solvable.
 //!
-//! Since PR 4 the decision tiers run as a *staged verdict engine* (see
+//! The decision tiers run as a *staged verdict engine* (see
 //! [`crate::stages`]): each tier is a [`Stage`](crate::stages::Stage)
-//! with its own bounded, fingerprint-keyed cache in the process-wide
-//! [`ArtifactStore`](crate::stages::cache::ArtifactStore), and every
-//! [`Analysis`] carries the [`EvidenceChain`] of the stages that
-//! produced its verdict. [`analyze`] and [`analyze_governed`] are
-//! source-compatible façades over the engine; [`analyze_batch`] fans it
-//! out over a task slice with shared artifacts.
+//! with its own bounded, fingerprint-keyed cache in the
+//! [`ArtifactStore`](crate::stages::cache::ArtifactStore) of an
+//! [`Engine`](crate::Engine), and every [`Analysis`] carries the
+//! [`EvidenceChain`] of the stages that produced its verdict. This module
+//! holds the pipeline's types; [`Engine::analyze`](crate::Engine::analyze)
+//! is its one entry point.
 //!
 //! Because loop contractibility is undecidable in general (§7), the
 //! pipeline can return [`Verdict::Unknown`]; callers may enable the
@@ -26,10 +26,8 @@
 use std::fmt;
 
 use chromata_task::Task;
-use chromata_topology::{par_map, Budget, CancelToken};
 
 use crate::splitting::SplitOutcome;
-use crate::stages::persist;
 use crate::stages::EvidenceChain;
 
 pub use crate::stages::cache::DecisionCacheStats;
@@ -146,149 +144,27 @@ pub struct PipelineOptions {
     pub act_fallback_rounds: usize,
 }
 
-/// Runs the full pipeline on a (1-, 2- or 3-process) task.
-///
-/// # Panics
-///
-/// Panics if the task has more than three processes — the splitting
-/// deformation is specific to three processes (paper, §7).
-///
-/// # Examples
-///
-/// ```
-/// use chromata::{analyze, PipelineOptions};
-/// use chromata_task::library::{hourglass, identity_task};
-///
-/// assert!(analyze(&identity_task(3), PipelineOptions::default()).verdict.is_solvable());
-/// assert!(analyze(&hourglass(), PipelineOptions::default()).verdict.is_unsolvable());
-/// ```
-#[must_use]
-pub fn analyze(task: &Task, options: PipelineOptions) -> Analysis {
-    analyze_governed(task, options, &Budget::unlimited(), &CancelToken::new())
-}
-
-/// [`analyze`] under a [`Budget`] and [`CancelToken`]: the ACT fallback
-/// respects the wall-clock deadline and cooperative cancellation, and —
-/// when a deadline is set — escalates its round cap through a doubling
-/// ladder (`configured, 2×, 4×, …` up to `budget.max_act_rounds`) while
-/// time remains. Exhaustion and interruption degrade to
-/// [`Verdict::Unknown`] with a reason recording how far the analysis
-/// got; interrupted verdicts are **not** cached, so a later run with a
-/// larger budget re-decides from scratch.
-#[must_use]
-pub fn analyze_governed(
-    task: &Task,
-    options: PipelineOptions,
-    budget: &Budget,
-    cancel: &CancelToken,
-) -> Analysis {
-    assert!(
-        task.process_count() <= 3,
-        "the characterization is specific to at most three processes"
-    );
-    // The entire decision path lives in the stage layer since PR 9 (the
-    // former monolith remnants — canonicalization evidence, the skip-split
-    // shortcut, verdict-cache replay and the tier walk — were folded into
-    // `stages::run_engine`); this façade only validates and delegates.
-    crate::stages::run_engine(task, options, budget, cancel)
-}
-
-/// [`analyze`] over a batch of tasks, fanned out with the workspace's
-/// panic-safe scoped-thread `par_map` (sequential without the `parallel`
-/// feature). All analyses share the process-wide [`ArtifactStore`], so
-/// tasks with a common canonical form — or merely common split/link
-/// artifacts — are decided once; verdicts and evidence digests are
-/// byte-identical to running [`analyze`] per task.
-#[must_use]
-pub fn analyze_batch(tasks: &[Task], options: PipelineOptions) -> Vec<Analysis> {
-    analyze_batch_governed(tasks, options, &Budget::unlimited(), &CancelToken::new())
-}
-
-/// [`analyze_batch`] under a shared [`Budget`] and [`CancelToken`].
-#[must_use]
-pub fn analyze_batch_governed(
-    tasks: &[Task],
-    options: PipelineOptions,
-    budget: &Budget,
-    cancel: &CancelToken,
-) -> Vec<Analysis> {
-    par_map(tasks, |t| analyze_governed(t, options, budget, cancel))
-}
-
-/// The persistence bookkeeping of one [`analyze_persistent`] /
-/// [`analyze_batch_persistent`] call. A save failure is reported here —
-/// never raised — because persistence must not poison a verdict.
-#[derive(Clone, Debug, Default)]
-pub struct PersistenceReport {
-    /// What the warm start restored — `None` when persistence is
-    /// disabled or this directory was already loaded by this process.
-    pub loaded: Option<persist::LoadReport>,
-    /// What the post-analysis snapshot wrote, when it succeeded.
-    pub saved: Option<persist::SaveReport>,
-    /// The snapshot failure, when saving did not succeed. Verdicts are
-    /// unaffected; the previous on-disk snapshots stay valid.
-    pub save_error: Option<persist::PersistError>,
-}
-
-fn persist_after(cache_dir: &persist::CacheDirConfig, report: &mut PersistenceReport) {
-    match persist::persist_now(cache_dir) {
-        Some(Ok(saved)) => report.saved = Some(saved),
-        Some(Err(error)) => report.save_error = Some(error),
-        None => {}
-    }
-}
-
-/// [`analyze`] with a durable verdict cache: warm-starts the
-/// process-wide [`ArtifactStore`]'s verdicts from `cache_dir` (once per
-/// directory per process), analyzes, then snapshots the verdicts back.
-/// Verdicts and evidence digests are byte-identical to a cold
-/// [`analyze`]; corruption on disk degrades to recovery counters, and a
-/// save failure is reported — not raised.
-#[must_use]
-pub fn analyze_persistent(
-    task: &Task,
-    options: PipelineOptions,
-    cache_dir: &persist::CacheDirConfig,
-) -> (Analysis, PersistenceReport) {
-    let mut report = PersistenceReport {
-        loaded: persist::warm_start(cache_dir),
-        ..PersistenceReport::default()
-    };
-    let analysis = analyze(task, options);
-    persist_after(cache_dir, &mut report);
-    (analysis, report)
-}
-
-/// [`analyze_batch`] with a durable verdict cache: one warm start before
-/// the fan-out, one snapshot after every task is decided.
-#[must_use]
-pub fn analyze_batch_persistent(
-    tasks: &[Task],
-    options: PipelineOptions,
-    cache_dir: &persist::CacheDirConfig,
-) -> (Vec<Analysis>, PersistenceReport) {
-    let mut report = PersistenceReport {
-        loaded: persist::warm_start(cache_dir),
-        ..PersistenceReport::default()
-    };
-    let analyses = analyze_batch(tasks, options);
-    persist_after(cache_dir, &mut report);
-    (analyses, report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stages::{cache, CacheEvent};
+    use crate::stages::{persist, CacheEvent};
+    use crate::{analyze, analyze_batch, Engine};
     use chromata_task::library::{
         adaptive_renaming, approximate_agreement, consensus, constant_task, disk_complex,
         hourglass, identity_task, leader_election, loop_agreement, majority_consensus, pinwheel,
         projective_plane_complex, renaming, sphere_complex, torus_complex, two_process_consensus,
         two_process_leader_election, two_set_agreement,
     };
+    use chromata_topology::{Budget, CancelToken};
 
     fn verdict(t: &Task) -> Verdict {
         analyze(t, PipelineOptions::default()).verdict
+    }
+
+    /// Decides `task` on `engine`, unbudgeted.
+    fn decide(engine: &Engine, task: &Task) -> Analysis {
+        let (budget, cancel) = (Budget::unlimited(), CancelToken::new());
+        engine.analyze_task(task, PipelineOptions::default(), &budget, &cancel)
     }
 
     #[test]
@@ -408,21 +284,17 @@ mod tests {
 
     #[test]
     fn repeated_analysis_hits_the_decision_cache() {
-        // Prime the cache, then re-analyze the identical task: the second
-        // run must be served from the cache. Other tests run concurrently
-        // and also touch the process-wide counters, so assert monotone
-        // deltas rather than absolute values.
+        // On a private engine the first analysis misses the verdict
+        // cache and the identical second one is served from it.
+        let engine = Engine::new();
         let task = two_set_agreement();
-        let options = PipelineOptions::default();
-        let verdict_stats = || cache::store().verdict.lock().stats();
-        let first = analyze(&task, options);
+        let verdict_stats = || engine.store().verdict.lock().stats();
+        let first = decide(&engine, &task);
         let primed = verdict_stats();
-        let second = analyze(&task, options);
+        assert_eq!((primed.hits, primed.misses), (0, 1), "{primed:?}");
+        let second = decide(&engine, &task);
         let after = verdict_stats();
-        assert!(
-            after.hits > primed.hits,
-            "expected a cache hit: {primed:?} -> {after:?}"
-        );
+        assert_eq!((after.hits, after.misses), (1, 1), "{after:?}");
         // The cached verdict is the one the tiers computed.
         assert_eq!(format!("{}", first.verdict), format!("{}", second.verdict));
     }
@@ -431,10 +303,12 @@ mod tests {
     fn clearing_the_decision_cache_is_transparent() {
         // Clearing mid-flight must not change any verdict, only force the
         // tiers to re-run; verdicts repopulate on the next analysis.
-        let before = verdict(&hourglass());
-        cache::clear_stage_caches();
-        let after = verdict(&hourglass());
+        let engine = Engine::new();
+        let before = decide(&engine, &hourglass()).verdict;
+        engine.clear_caches();
+        let after = decide(&engine, &hourglass()).verdict;
         assert!(before.is_unsolvable() && after.is_unsolvable());
+        assert_eq!(engine.store().verdict.lock().stats().misses, 1);
     }
 
     #[test]
@@ -443,13 +317,17 @@ mod tests {
         // lock (mid-decision bookkeeping) poisons the mutex. Every later
         // analysis must transparently recover — re-validating the cache —
         // and identical calls must still decide correctly.
-        let before = verdict(&hourglass());
-        let _ = std::thread::spawn(|| {
-            let _guard = cache::store().verdict.lock();
-            panic!("worker dies mid-decision");
-        })
-        .join();
-        let after = verdict(&hourglass());
+        let engine = Engine::new();
+        let before = decide(&engine, &hourglass()).verdict;
+        std::thread::scope(|s| {
+            let _ = s
+                .spawn(|| {
+                    let _guard = engine.store().verdict.lock();
+                    panic!("worker dies mid-decision");
+                })
+                .join();
+        });
+        let after = decide(&engine, &hourglass()).verdict;
         assert!(before.is_unsolvable() && after.is_unsolvable());
         assert_eq!(format!("{before}"), format!("{after}"));
     }
@@ -458,18 +336,13 @@ mod tests {
     fn starved_analysis_degrades_to_uncached_unknown() {
         // A cancelled analysis answers Unknown instead of panicking, and
         // the circumstantial verdict is NOT cached: the same call with an
-        // unlimited budget re-decides and gets the real answer. (Task
-        // names participate in the cache key, so the unique name keeps
-        // this test independent of concurrently cached verdicts.)
+        // unlimited budget re-decides and gets the real answer.
+        let engine = Engine::new();
         let task = loop_agreement("starved-probe", torus_complex());
         let cancel = CancelToken::new();
         cancel.cancel();
-        let starved = analyze_governed(
-            &task,
-            PipelineOptions::default(),
-            &Budget::unlimited(),
-            &cancel,
-        );
+        let options = PipelineOptions::default();
+        let starved = engine.analyze_task(&task, options, &Budget::unlimited(), &cancel);
         match &starved.verdict {
             Verdict::Unknown { reason } => {
                 assert!(reason.contains("cancelled"), "{reason}");
@@ -477,33 +350,18 @@ mod tests {
             other => panic!("expected a graceful Unknown, got {other:?}"),
         }
         assert_eq!(starved.evidence.decided_by, "budget");
+        assert!(engine.store().verdict.lock().is_empty());
 
-        // Nor does it reach disk: a snapshot taken right now holds no
-        // record for the starved task.
+        // Nor does it reach disk: the snapshot holds no record at all.
         let dir =
             std::env::temp_dir().join(format!("chromata-starved-probe-{}", std::process::id()));
-        let config = persist::CacheDirConfig::at(&dir);
-        {
-            let _guard = persist::persist_now_test_guard();
-            persist::persist_now(&config)
-                .expect("persistence is configured")
-                .expect("snapshot write succeeds");
-        }
+        engine.persist(&dir).expect("snapshot write succeeds");
         let audit = persist::audit_cache_dir(&dir);
         assert!(audit.is_clean(), "{audit:?}");
-        let reloaded = cache::ArtifactStore::with_capacity(1);
-        persist::load_store(&reloaded, &dir, &persist::RealIo);
-        let persisted = reloaded.verdict.lock().entries_in_order();
-        assert_eq!(persisted.len() as u64, audit.entries);
-        assert!(
-            persisted
-                .iter()
-                .all(|((canonical, _), _)| canonical != &starved.canonical),
-            "a budget-starved verdict reached disk"
-        );
+        assert_eq!(audit.entries, 0, "a budget-starved verdict reached disk");
         persist::clear_cache_dir(&dir).expect("clear the probe snapshot");
 
-        let recovered = analyze(&task, PipelineOptions::default());
+        let recovered = decide(&engine, &task);
         assert!(recovered.verdict.is_unsolvable(), "re-decided from scratch");
     }
 
@@ -518,14 +376,10 @@ mod tests {
             .with_max_act_rounds(4)
             .with_deadline_in(std::time::Duration::ZERO);
         std::thread::sleep(std::time::Duration::from_millis(1));
-        let a = analyze_governed(
-            &task,
-            PipelineOptions {
-                act_fallback_rounds: 1,
-            },
-            &budget,
-            &CancelToken::new(),
-        );
+        let options = PipelineOptions {
+            act_fallback_rounds: 1,
+        };
+        let a = Engine::new().analyze_task(&task, options, &budget, &CancelToken::new());
         match &a.verdict {
             Verdict::Unknown { reason } => {
                 assert!(reason.contains("deadline exceeded"), "{reason}");
@@ -583,11 +437,11 @@ mod tests {
     #[test]
     fn cached_analysis_replays_identical_evidence() {
         // A verdict-cache hit replays the deterministic traces, so the
-        // digest matches the cold run exactly. (The unique task name
-        // keeps this probe independent of concurrently cached verdicts.)
+        // digest matches the cold run exactly.
+        let engine = Engine::new();
         let task = loop_agreement("evidence-replay-probe", torus_complex());
-        let first = analyze(&task, PipelineOptions::default());
-        let second = analyze(&task, PipelineOptions::default());
+        let first = decide(&engine, &task);
+        let second = decide(&engine, &task);
         assert_eq!(
             first.evidence.deterministic_digest(),
             second.evidence.deterministic_digest()

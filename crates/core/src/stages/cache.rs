@@ -2,8 +2,8 @@
 //!
 //! The staged verdict engine replaces the former single opaque decision
 //! cache with one [`StageCache`] per artifact kind, all living in the
-//! process-wide [`ArtifactStore`]. Every cache keeps the semantics the
-//! old cache was tested for:
+//! [`ArtifactStore`] an [`Engine`](crate::Engine) owns. Every cache keeps
+//! the semantics the old cache was tested for:
 //!
 //! * **FIFO bound** — insertion order is tracked in a queue and the
 //!   oldest entries are evicted first once `capacity` is reached;
@@ -20,7 +20,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::hash::Hash;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use chromata_task::Task;
 use chromata_topology::structural_fingerprint;
@@ -120,10 +120,9 @@ impl fmt::Display for ArtifactKind {
     }
 }
 
-/// Default capacity of each stage cache (entries), overridable with the
-/// `CHROMATA_DECISION_CACHE_CAP` environment variable or
-/// [`set_stage_cache_capacity`].
-const DEFAULT_CACHE_CAPACITY: usize = 256;
+/// Capacity of each stage cache of a fresh engine (entries). A restored
+/// verdict snapshot brings its own capacity in its header.
+pub(crate) const CACHE_CAPACITY: usize = 256;
 
 /// A bounded FIFO cache for one artifact kind.
 ///
@@ -342,11 +341,10 @@ impl<K: Clone + Eq + Hash, V: Clone> SharedCache<K, V> {
     }
 }
 
-/// The process-wide store of per-stage caches the verdict engine runs
-/// against. One instance exists per process (see [`store`]); every
-/// analysis — sequential or batched — shares it, which is what lets
-/// [`crate::analyze_batch`] reuse subdivision and presentation artifacts
-/// across tasks.
+/// The per-stage caches one [`Engine`](crate::Engine) runs against.
+/// Every analysis on that engine — sequential or batched — shares them,
+/// which is what lets a batch reuse subdivision and presentation
+/// artifacts across tasks.
 pub struct ArtifactStore {
     pub(crate) split: SharedCache<Task, Arc<SubdividedComplex>>,
     /// Keyed per split-branch sub-task (a name-erased single-facet
@@ -375,7 +373,7 @@ impl ArtifactStore {
     }
 
     /// Stats of one cache by kind.
-    fn stats_of(&self, kind: ArtifactKind) -> DecisionCacheStats {
+    pub(crate) fn stats_of(&self, kind: ArtifactKind) -> DecisionCacheStats {
         match kind {
             ArtifactKind::Split => self.split.lock().stats(),
             ArtifactKind::LinkGraphs => self.links.lock().stats(),
@@ -386,18 +384,8 @@ impl ArtifactStore {
         }
     }
 
-    fn set_capacity_of(&self, kind: ArtifactKind, capacity: usize) {
-        match kind {
-            ArtifactKind::Split => self.split.lock().set_capacity(capacity),
-            ArtifactKind::LinkGraphs => self.links.lock().set_capacity(capacity),
-            ArtifactKind::Presentations => self.presentations.lock().set_capacity(capacity),
-            ArtifactKind::Homology => self.homology.lock().set_capacity(capacity),
-            ArtifactKind::Exploration => self.exploration.lock().set_capacity(capacity),
-            ArtifactKind::Verdict => self.verdict.lock().set_capacity(capacity),
-        }
-    }
-
-    fn clear_all(&self) {
+    /// Drops every cached artifact and resets every counter.
+    pub(crate) fn clear_all(&self) {
         self.split.lock().clear();
         self.links.lock().clear();
         self.presentations.lock().clear();
@@ -416,38 +404,6 @@ pub(crate) const ALL_KINDS: [ArtifactKind; 6] = [
     ArtifactKind::Exploration,
     ArtifactKind::Verdict,
 ];
-
-/// The process-wide [`ArtifactStore`].
-pub(crate) fn store() -> &'static ArtifactStore {
-    static STORE: OnceLock<ArtifactStore> = OnceLock::new();
-    STORE.get_or_init(|| {
-        // Environment reads go through `govern` (rule D2): configuration
-        // is sampled once at store initialization, never on a decision.
-        let capacity = chromata_topology::govern::env_usize("CHROMATA_DECISION_CACHE_CAP")
-            .unwrap_or(DEFAULT_CACHE_CAPACITY);
-        ArtifactStore::with_capacity(capacity)
-    })
-}
-
-/// Per-stage cache counters (process-wide), one entry per
-/// [`ArtifactKind`] in declaration order.
-#[must_use]
-pub fn stage_cache_stats() -> Vec<(ArtifactKind, DecisionCacheStats)> {
-    let s = store();
-    ALL_KINDS.iter().map(|&k| (k, s.stats_of(k))).collect()
-}
-
-/// Replaces one stage cache's capacity (process-wide), evicting the
-/// oldest entries if that cache currently exceeds the new bound. A
-/// capacity of 0 disables caching for that stage.
-pub fn set_stage_cache_capacity(kind: ArtifactKind, capacity: usize) {
-    store().set_capacity_of(kind, capacity);
-}
-
-/// Drops every cached artifact of every stage and resets all counters.
-pub fn clear_stage_caches() {
-    store().clear_all();
-}
 
 #[cfg(test)]
 mod tests {
@@ -754,7 +710,7 @@ mod tests {
 
     #[test]
     fn stage_cache_stats_reports_every_kind() {
-        let all = stage_cache_stats();
+        let all = crate::Engine::new().cache_stats();
         assert_eq!(all.len(), ALL_KINDS.len());
         for (kind, _) in &all {
             assert!(ALL_KINDS.contains(kind));

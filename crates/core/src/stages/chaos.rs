@@ -10,11 +10,12 @@
 //! driver lives in the CLI (`chromata chaos`).
 //!
 //! The seam armed here is **[`PersistChaos`]**: it implements the
-//! persist layer's I/O seam and installs itself process-wide, so a
-//! scheduled ENOSPC, short write, or kill-point hits the *real*
-//! [`persist_now`](super::persist::persist_now) path the daemon's
-//! cadence thread calls. Net and signal faults are driven over real
-//! connections by the CLI driver.
+//! persist layer's I/O seam and is handed to an engine at construction
+//! ([`Engine::with_chaos`](crate::Engine::with_chaos)), so a scheduled
+//! ENOSPC, short write, or kill-point hits the *real*
+//! [`Engine::persist`](crate::Engine::persist) path the daemon's cadence
+//! thread calls. Net and signal faults are driven over real connections
+//! by the CLI driver.
 //!
 //! Schedules are produced by [`FaultSchedule`]: xorshift64*-seeded
 //! (the same discipline as the task mutator), a pure function of
@@ -25,7 +26,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use super::persist::{self, PersistIo, RealIo};
+use super::persist::{PersistIo, RealIo};
 
 /// Poison-recovering lock: chaos bookkeeping is all counters and maps,
 /// so a panicking holder cannot leave them torn.
@@ -265,8 +266,9 @@ impl FaultSchedule {
 /// the armed mode (one-shot — the next save after the fault fires is
 /// healthy again, modeling a disk that filled and was cleared).
 ///
-/// Installed process-wide with [`install`](Self::install), so the fault
-/// hits the *real* `persist_now` path of the serving daemon.
+/// One injector may back several engines in turn (a campaign hands the
+/// same one to every restarted daemon), so the fault hits the *real*
+/// persist path of whichever engine is serving.
 pub struct PersistChaos {
     inner: RealIo,
     armed: Mutex<Option<PersistFault>>,
@@ -274,22 +276,15 @@ pub struct PersistChaos {
 }
 
 impl PersistChaos {
-    /// Creates the injector and installs it as the process-wide persist
-    /// I/O. Pair with [`uninstall`](Self::uninstall).
+    /// A disarmed injector, ready to hand to
+    /// [`Engine::with_chaos`](crate::Engine::with_chaos).
     #[must_use]
-    pub fn install() -> Arc<PersistChaos> {
-        let chaos = Arc::new(PersistChaos {
+    pub fn new() -> Arc<PersistChaos> {
+        Arc::new(PersistChaos {
             inner: RealIo,
             armed: Mutex::new(None),
             fired: AtomicU64::new(0),
-        });
-        persist::set_persist_io(Arc::clone(&chaos) as Arc<dyn PersistIo + Send + Sync>);
-        chaos
-    }
-
-    /// Restores the real filesystem as the process-wide persist I/O.
-    pub fn uninstall() {
-        persist::clear_persist_io();
+        })
     }
 
     /// Arms `fault` for the next snapshot write (replacing any pending

@@ -1,4 +1,4 @@
-//! The staged verdict engine (architecture layer under [`crate::analyze`]).
+//! The staged verdict engine (architecture layer under [`crate::Engine`]).
 //!
 //! The decision procedure is inherently staged — canonicalize, split
 //! (§4), build link graphs, derive π₁ presentations, run the
@@ -917,18 +917,16 @@ fn decide_staged(
     }
 }
 
-/// The full staged engine behind [`crate::analyze_governed`]: live
+/// The full staged engine behind [`crate::Engine::analyze`]: live
 /// canonicalization, the (possibly skipped) split stage, verdict-cache
-/// replay, and the per-branch decision tiers. This is the whole former
-/// monolith pipeline folded into the stage layer; the pipeline module
-/// keeps only the public façades and types.
+/// replay, and the per-branch decision tiers, all against `store`.
 pub(crate) fn run_engine(
+    store: &ArtifactStore,
     task: &Task,
     options: PipelineOptions,
     budget: &Budget,
     cancel: &CancelToken,
 ) -> Analysis {
-    let store = cache::store();
     let mut evidence = EvidenceChain::new();
 
     // Canonicalization is a cheap pure quotient — always run live so the
@@ -1030,17 +1028,19 @@ mod tests {
 
     #[test]
     fn stage_runs_hit_their_cache_on_repeat() {
-        // A local assertion against the process-wide store: the second
-        // identical run must be a hit (the first may be hit or miss
-        // depending on concurrently running tests).
+        // On a private store the first run misses and the second hits.
         let canonical = chromata_task::canonicalize(&two_set_agreement());
         let stage = SplitStage {
             canonical: canonical.clone(),
         };
+        let store = ArtifactStore::with_capacity(cache::CACHE_CAPACITY);
         let budget = Budget::unlimited();
-        let first = stage.run(cache::store(), &budget);
-        let second = stage.run(cache::store(), &budget);
+        let first = stage.run(&store, &budget);
+        let second = stage.run(&store, &budget);
+        assert_eq!(first.evidence.cache, CacheEvent::Miss);
         assert_eq!(second.evidence.cache, CacheEvent::Hit);
+        let stats = store.split.lock().stats();
+        assert_eq!((stats.lookups, stats.hits, stats.misses), (2, 1, 1));
         assert_eq!(first.evidence.detail, second.evidence.detail);
         assert_eq!(first.evidence.work, second.evidence.work);
         assert_eq!(second.evidence.stage, "split");
@@ -1096,7 +1096,6 @@ mod tests {
         })
         .expect("edited task is valid");
 
-        // A private store isolates the counters from concurrent tests.
         let store = ArtifactStore::with_capacity(64);
         let budget = Budget::unlimited();
         let branches = branch_tasks(&base);

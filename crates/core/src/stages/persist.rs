@@ -49,17 +49,14 @@
 //! kill the process model at every point of the write protocol (rule
 //! D3 confines `std::fs` to this module).
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
 use chromata_task::Task;
 use chromata_topology::govern;
 
-use super::cache::{store, ArtifactKind, ArtifactStore, DecisionCacheStats, ALL_KINDS};
+use super::cache::{ArtifactKind, ArtifactStore, DecisionCacheStats, ALL_KINDS};
 use super::DecisionRecord;
 
 /// One persisted verdict-cache entry: `(canonical task, ACT bound)` →
@@ -163,68 +160,6 @@ impl PersistIo for RealIo {
 }
 
 // ---------------------------------------------------------------------------
-// Injectable I/O + persist health
-// ---------------------------------------------------------------------------
-
-/// Process-global [`PersistIo`] override consulted by the snapshot
-/// entry points ([`persist_now`], [`warm_start`], [`load_cache_dir`]).
-/// The chaos layer (`super::chaos`) installs a fault-injecting
-/// implementation here; `None` means the real filesystem.
-fn io_override() -> &'static RwLock<Option<Arc<dyn PersistIo + Send + Sync>>> {
-    static SLOT: OnceLock<RwLock<Option<Arc<dyn PersistIo + Send + Sync>>>> = OnceLock::new();
-    SLOT.get_or_init(|| RwLock::new(None))
-}
-
-/// Installs a process-wide [`PersistIo`] override for the snapshot
-/// entry points (chaos injection); replaced by any later call.
-pub(crate) fn set_persist_io(io: Arc<dyn PersistIo + Send + Sync>) {
-    *io_override()
-        .write()
-        .unwrap_or_else(PoisonError::into_inner) = Some(io);
-}
-
-/// Removes the [`PersistIo`] override; snapshots hit the real
-/// filesystem again.
-pub(crate) fn clear_persist_io() {
-    *io_override()
-        .write()
-        .unwrap_or_else(PoisonError::into_inner) = None;
-}
-
-/// The I/O implementation the entry points should use right now.
-fn current_io() -> Arc<dyn PersistIo + Send + Sync> {
-    io_override()
-        .read()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clone()
-        .unwrap_or_else(|| Arc::new(RealIo))
-}
-
-/// Failed [`persist_now`] snapshots since process start (ENOSPC,
-/// permission loss, injected faults, …). A failure never wedges
-/// serving: the old snapshot stays intact on disk and the store keeps
-/// answering from memory (see [`store_read_through`]).
-static PERSIST_FAILURES: AtomicU64 = AtomicU64::new(0);
-
-/// Whether the store is currently *read-through*: the most recent
-/// snapshot attempt failed, so the in-memory caches are ahead of disk.
-/// Cleared by the next successful [`persist_now`].
-static READ_THROUGH: AtomicBool = AtomicBool::new(false);
-
-/// How many [`persist_now`] snapshots have failed in this process.
-#[must_use]
-pub fn persist_failures() -> u64 {
-    PERSIST_FAILURES.load(Ordering::Relaxed)
-}
-
-/// Whether the last snapshot attempt failed and the store is serving
-/// read-through (in-memory state ahead of the on-disk snapshot).
-#[must_use]
-pub fn store_read_through() -> bool {
-    READ_THROUGH.load(Ordering::Acquire)
-}
-
-// ---------------------------------------------------------------------------
 // Errors and reports
 // ---------------------------------------------------------------------------
 
@@ -268,7 +203,7 @@ impl fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
-/// What a successful [`persist_now`] wrote.
+/// What a successful [`Engine::persist`](crate::Engine::persist) wrote.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct SaveReport {
     /// Snapshot files written (the verdict snapshot: always 1).
@@ -277,7 +212,7 @@ pub struct SaveReport {
     pub entries_written: u64,
 }
 
-/// What a [`warm_start`] / [`load_cache_dir`] recovered from the verdict
+/// What an [`Engine::load`](crate::Engine::load) recovered from the verdict
 /// snapshot. The same per-cause counters also land in the verdict
 /// cache's [`DecisionCacheStats`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -611,64 +546,6 @@ impl CacheDirConfig {
     }
 }
 
-/// Directories already warm-started by this process, so repeated
-/// [`warm_start`] calls (one per `analyze`) load each directory once.
-fn warmed_dirs() -> &'static Mutex<BTreeSet<PathBuf>> {
-    static WARMED: OnceLock<Mutex<BTreeSet<PathBuf>>> = OnceLock::new();
-    WARMED.get_or_init(|| Mutex::new(BTreeSet::new()))
-}
-
-/// Marks `dir` warmed; returns whether it was fresh.
-fn mark_warmed(dir: &Path) -> bool {
-    let mut guard = match warmed_dirs().lock() {
-        Ok(guard) => guard,
-        // The set is just inserted into; a panicking holder cannot have
-        // left it torn. Recover the data and continue.
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    guard.insert(dir.to_path_buf())
-}
-
-/// Loads the configured cache directory into the process-wide store —
-/// once per directory per process. Returns the load report on the
-/// first call for a directory, `None` when persistence is disabled or
-/// the directory was already warmed.
-pub fn warm_start(config: &CacheDirConfig) -> Option<LoadReport> {
-    let dir = config.dir()?;
-    if !mark_warmed(dir) {
-        return None;
-    }
-    Some(load_store(store(), dir, current_io().as_ref()))
-}
-
-/// Unconditionally loads the configured cache directory into the
-/// process-wide store (and marks it warmed). `None` when disabled.
-pub fn load_cache_dir(config: &CacheDirConfig) -> Option<LoadReport> {
-    let dir = config.dir()?;
-    mark_warmed(dir);
-    Some(load_store(store(), dir, current_io().as_ref()))
-}
-
-/// Snapshots the process-wide verdict cache into the configured cache
-/// directory. `None` when persistence is disabled.
-///
-/// A failed save is counted in [`persist_failures`] and flips the store
-/// into read-through mode ([`store_read_through`]); the atomic
-/// protocol guarantees the previous snapshot is still intact on disk,
-/// so serving continues unharmed and the next cadence retries.
-pub fn persist_now(config: &CacheDirConfig) -> Option<Result<SaveReport, PersistError>> {
-    let dir = config.dir()?;
-    let result = save_store(store(), dir, current_io().as_ref());
-    match &result {
-        Ok(_) => READ_THROUGH.store(false, Ordering::Release),
-        Err(_) => {
-            PERSIST_FAILURES.fetch_add(1, Ordering::Relaxed);
-            READ_THROUGH.store(true, Ordering::Release);
-        }
-    }
-    Some(result)
-}
-
 // ---------------------------------------------------------------------------
 // Offline audit + maintenance
 // ---------------------------------------------------------------------------
@@ -704,7 +581,7 @@ impl fmt::Display for SnapshotStatus {
 }
 
 /// The offline integrity report for the verdict snapshot, produced by
-/// [`audit_cache_dir`] without touching the process-wide store.
+/// [`audit_cache_dir`] without touching any engine.
 #[derive(Clone, Debug)]
 pub struct SnapshotAudit {
     /// The artifact kind this snapshot caches.
@@ -756,8 +633,7 @@ fn empty_audit(status: SnapshotStatus) -> SnapshotAudit {
 }
 
 /// Audits the verdict snapshot in `dir` offline — full typed decode and
-/// checksum verification — without loading anything into the
-/// process-wide store.
+/// checksum verification — without loading anything into an engine.
 #[must_use]
 pub fn audit_cache_dir(dir: &Path) -> SnapshotAudit {
     match read_snapshot(dir, &RealIo) {
@@ -805,19 +681,11 @@ pub fn clear_cache_dir(dir: &Path) -> Result<usize, PersistError> {
     Ok(removed)
 }
 
-/// Serializes the in-crate tests that snapshot the process-wide store
-/// through [`persist_now`]: one of them installs the process-wide chaos
-/// seam, which must not fire on another test's save.
-#[cfg(test)]
-pub(crate) fn persist_now_test_guard() -> std::sync::MutexGuard<'static, ()> {
-    static GUARD: Mutex<()> = Mutex::new(());
-    GUARD.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 #[cfg(test)]
 mod tests {
     use std::cell::Cell;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     use proptest::prelude::*;
 
@@ -1320,38 +1188,39 @@ mod tests {
     fn enospc_through_the_chaos_seam_degrades_and_heals_persist_now() {
         use super::super::chaos::{PersistChaos, PersistFault};
 
-        let _guard = persist_now_test_guard();
         let dir = test_dir("enospc-seam");
-        let config = CacheDirConfig::resolve(Some(dir.clone()));
+        let chaos = PersistChaos::new();
+        let engine = crate::Engine::with_chaos(Arc::clone(&chaos));
 
-        // Baseline cadence with the seam installed but disarmed.
-        let chaos = PersistChaos::install();
-        persist_now(&config)
-            .expect("persistence is configured")
-            .expect("clean save");
-        let failures_before = persist_failures();
-        assert!(!store_read_through(), "clean save must not be read-through");
+        // Baseline cadence with the seam wired in but disarmed.
+        engine.persist(&dir).expect("clean save");
+        assert_eq!(engine.persist_failures(), 0);
+        assert!(
+            !engine.read_through(),
+            "clean save must not be read-through"
+        );
 
         // Disk full mid-snapshot: the cadence fails, is counted, and
-        // flips the store to read-through — but never wedges.
+        // flips the engine to read-through — but never wedges.
         chaos.arm(PersistFault::Enospc);
-        persist_now(&config)
-            .expect("persistence is configured")
+        engine
+            .persist(&dir)
             .expect_err("armed ENOSPC must fail the save");
         assert_eq!(chaos.fired(), 1, "the armed fault fired");
-        assert!(persist_failures() > failures_before, "failure is counted");
-        assert!(store_read_through(), "failed save flips read-through");
+        assert_eq!(engine.persist_failures(), 1, "failure is counted");
+        assert!(engine.read_through(), "failed save flips read-through");
 
         // The on-disk state is still a clean, loadable snapshot.
-        PersistChaos::uninstall();
         let audit = audit_cache_dir(&dir);
         assert!(audit.is_clean(), "unclean after ENOSPC: {audit:?}");
 
-        // Fault cleared: the next cadence succeeds and clears the flag.
-        persist_now(&config)
-            .expect("persistence is configured")
+        // Fault cleared (one-shot): the next cadence succeeds and
+        // clears the flag.
+        engine
+            .persist(&dir)
             .expect("save heals once the fault clears");
-        assert!(!store_read_through(), "healed save clears read-through");
+        assert!(!engine.read_through(), "healed save clears read-through");
+        assert_eq!(engine.persist_failures(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1520,7 +1389,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    // -- configuration + warm start ---------------------------------------
+    // -- configuration ----------------------------------------------------
 
     #[test]
     fn cache_dir_config_resolution() {
@@ -1541,21 +1410,6 @@ mod tests {
         assert_eq!(fallback.dir(), Some(Path::new("/tmp/from-env")));
         std::env::remove_var(CACHE_DIR_ENV);
         assert!(!CacheDirConfig::from_env().is_enabled());
-    }
-
-    #[test]
-    fn warm_start_runs_once_per_directory() {
-        assert!(warm_start(&CacheDirConfig::disabled()).is_none());
-        let dir = test_dir("warm-once");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let config = CacheDirConfig::at(&dir);
-        let first = warm_start(&config).expect("first warm start loads");
-        assert_eq!(first.missing, 1, "empty directory: nothing to restore");
-        assert!(
-            warm_start(&config).is_none(),
-            "second warm start is a no-op"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     // -- parser hardening --------------------------------------------------

@@ -2,18 +2,12 @@
 //! API only): for seeded near-duplicate mutants of library tasks, a
 //! warm run through the shared per-branch artifact store returns the
 //! same verdict and a byte-identical `deterministic_digest` as a cold
-//! run from an empty store — and the warm run demonstrably reuses
+//! run on a fresh engine — and the warm run demonstrably reuses
 //! per-branch artifacts (`reuse_hits`), including the edit-one-branch
 //! scenario where only the downstream work of the edited split branch
 //! is recomputed.
-//!
-//! Everything lives in one `#[test]` because the artifact store is
-//! process-wide: concurrent test threads clearing and re-filling it
-//! would race each other's counters.
 
-use chromata::{
-    analyze, clear_stage_caches, stage_cache_stats, ArtifactKind, PipelineOptions, Verdict,
-};
+use chromata::{Analysis, ArtifactKind, Budget, CancelToken, Engine, PipelineOptions, Verdict};
 use chromata_task::library::{consensus, hourglass, identity_task, pinwheel, two_set_agreement};
 use chromata_task::{mutate_task, Task};
 use chromata_topology::{Complex, Simplex, Vertex};
@@ -38,11 +32,17 @@ fn verdict_label(v: &Verdict) -> String {
     format!("{v}")
 }
 
-/// Sums `(reuse_hits, hits, lookups)` over the per-branch (granular)
-/// stage caches.
-fn granular_totals() -> (u64, u64, u64) {
+fn analyze(engine: &Engine, task: &Task, options: PipelineOptions) -> Analysis {
+    let tasks = std::slice::from_ref(task);
+    let mut out = engine.analyze(tasks, options, &Budget::unlimited(), &CancelToken::new());
+    out.remove(0)
+}
+
+/// Sums `(reuse_hits, hits, lookups)` over `engine`'s per-branch
+/// (granular) stage caches.
+fn granular_totals(engine: &Engine) -> (u64, u64, u64) {
     let mut totals = (0, 0, 0);
-    for (kind, stats) in stage_cache_stats() {
+    for (kind, stats) in engine.cache_stats() {
         if matches!(kind, ArtifactKind::LinkGraphs | ArtifactKind::Presentations) {
             totals.0 += stats.reuse_hits;
             totals.1 += stats.hits;
@@ -57,13 +57,12 @@ fn incremental_reanalysis_matches_cold_runs_and_reuses_branches() {
     let bases = library_bases();
     let options = PipelineOptions::default();
 
-    // -- Cold reference: every mutant decided from an empty store. ----
+    // -- Cold reference: every mutant decided on a fresh engine. ------
     let mut cold: Vec<(String, String, u64)> = Vec::new();
     for base in &bases {
         for index in 0..MUTANTS_PER_TASK {
             let mutant = mutate_task(base, SEED, index);
-            clear_stage_caches();
-            let analysis = analyze(&mutant, options);
+            let analysis = analyze(&Engine::new(), &mutant, options);
             cold.push((
                 mutant.name().to_owned(),
                 verdict_label(&analysis.verdict),
@@ -72,13 +71,13 @@ fn incremental_reanalysis_matches_cold_runs_and_reuses_branches() {
         }
     }
 
-    // -- Warm pass: the same mutants through one shared store. --------
-    clear_stage_caches();
+    // -- Warm pass: the same mutants through one shared engine. -------
+    let warm = Engine::new();
     let mut next = cold.iter();
     for base in &bases {
         for index in 0..MUTANTS_PER_TASK {
             let mutant = mutate_task(base, SEED, index);
-            let analysis = analyze(&mutant, options);
+            let analysis = analyze(&warm, &mutant, options);
             let (name, verdict, digest) = next.next().expect("cold reference entry");
             assert_eq!(mutant.name(), name, "mutation is deterministic");
             assert_eq!(
@@ -96,7 +95,7 @@ fn incremental_reanalysis_matches_cold_runs_and_reuses_branches() {
 
     // Near-duplicate mutants share split branches, so the warm pass
     // must have served per-branch artifacts from the cache.
-    let (reuse, hits, lookups) = granular_totals();
+    let (reuse, hits, lookups) = granular_totals(&warm);
     assert!(
         reuse > 0,
         "a warm campaign over near-duplicates must reuse branch artifacts"
@@ -120,24 +119,25 @@ fn incremental_reanalysis_matches_cold_runs_and_reuses_branches() {
     })
     .expect("edited task is valid");
 
-    clear_stage_caches();
-    let cold_edited = analyze(&edited, options);
+    let cold_edited = analyze(&Engine::new(), &edited, options);
     let cold_digest = cold_edited.evidence.deterministic_digest();
 
-    clear_stage_caches();
-    let _ = analyze(&base, options);
-    let before_edit = granular_totals();
-    let warm_edited = analyze(&edited, options);
-    let after_edit = granular_totals();
+    let engine = Engine::new();
+    let _ = analyze(&engine, &base, options);
+    assert_eq!(
+        granular_totals(&engine),
+        (0, 0, 4),
+        "a cold base reuses nothing"
+    );
+    let warm_edited = analyze(&engine, &edited, options);
 
-    // τ1's branch is untouched by the edit, so re-analysis reuses it;
-    // the verdict and digest still match the cold run byte-for-byte.
-    assert!(
-        after_edit.0 >= before_edit.0 + 2,
-        "the unedited branch must be reused by link-graphs and presentations \
-         (reuse_hits {} -> {})",
-        before_edit.0,
-        after_edit.0
+    // τ1's branch is untouched by the edit, so re-analysis reuses it —
+    // once in link-graphs, once in presentations — and recomputes only
+    // τ2's; the verdict and digest still match the cold run.
+    assert_eq!(
+        granular_totals(&engine),
+        (2, 2, 8),
+        "the unedited branch must be reused by link-graphs and presentations"
     );
     assert_eq!(
         verdict_label(&warm_edited.verdict),

@@ -90,10 +90,12 @@ where
             })
             .collect()
     };
+    // Small inputs return before `available_parallelism`, which reads
+    // cgroup files on Linux: a one-item call costs no syscall.
     #[cfg(feature = "parallel")]
-    {
+    if items.len() >= 2 * MIN_CHUNK {
         let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        if workers > 1 && items.len() >= 2 * MIN_CHUNK {
+        if workers > 1 {
             let chunk = (items.len().div_ceil(workers)).max(MIN_CHUNK);
             let guarded = &guarded;
             return std::thread::scope(|scope| {

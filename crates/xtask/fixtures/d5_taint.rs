@@ -38,3 +38,19 @@ pub fn unrooted_probe() -> u64 {
     drop(t);
     1
 }
+
+// `Engine::analyze` is a determinism root by name: a clock read in its
+// callee is tainted although no digest function is on the chain.
+pub struct Engine;
+
+impl Engine {
+    pub fn analyze(&self) -> u64 {
+        stamp()
+    }
+}
+
+fn stamp() -> u64 {
+    let t = std::time::SystemTime::now(); //~ D2 D5
+    drop(t);
+    2
+}

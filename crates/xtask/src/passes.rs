@@ -128,15 +128,9 @@ fn pass_p3(graph: &Graph, files: &[FileInfo], out: &mut Vec<(usize, Finding)>) {
 }
 
 /// The entry points whose transitive callees must be deterministic:
-/// digest construction and the public analyze family.
-const ANALYZE_ROOTS: &[&str] = &[
-    "analyze",
-    "analyze_governed",
-    "analyze_batch",
-    "analyze_batch_governed",
-    "analyze_persistent",
-    "analyze_batch_persistent",
-];
+/// digest construction and the public analyze family (`Engine::analyze`
+/// and the `analyze`/`analyze_batch` default-engine delegates).
+const ANALYZE_ROOTS: &[&str] = &["analyze", "analyze_batch"];
 
 /// D5: clock/env/RNG/hash-order sources reachable from a determinism
 /// root. The alias-aware source extractor sees through `use ... as`
@@ -197,6 +191,7 @@ fn pass_d5(graph: &Graph, files: &[FileInfo], out: &mut Vec<(usize, Finding)>) {
 /// fixtures can opt in with a matching relative path.
 const L2_SCOPE: &[&str] = &[
     "src/serve.rs",
+    "src/engine.rs",
     "src/stages/cache.rs",
     "src/stages/persist.rs",
 ];

@@ -508,7 +508,7 @@ fn rule_d3(code: &[&Tok], role: Role, findings: &mut Vec<Finding>) {
 /// source the decision pipeline must never observe directly. The
 /// sanctioned homes are `crates/cli/src/serve.rs` (every request framed,
 /// budgeted, and admission-controlled before it can reach
-/// `analyze_governed`) and `crates/cli/src/chaos.rs` (the fault
+/// `Engine::analyze`) and `crates/cli/src/chaos.rs` (the fault
 /// campaign abuses sockets on purpose). Naming a socket type (in a
 /// signature or a `use`) is fine; *constructing* one (`bind`,
 /// `connect`, …) is the access.

@@ -103,6 +103,13 @@ fn d5_determinism_taint_fixture() {
             d.message
         );
     }
+    // `Engine::analyze` roots its own chain.
+    let d = diags
+        .iter()
+        .find(|d| d.rule == "D5" && d.message.contains("SystemTime"))
+        .expect("no D5 finding under Engine::analyze");
+    assert!(d.message.contains("analyze"), "{}", d.message);
+    assert!(d.notes[0].contains("`stamp`"), "{:?}", d.notes);
 }
 
 #[test]

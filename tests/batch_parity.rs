@@ -13,7 +13,9 @@
 //! (cache replays reproduce the recorded traces), so parity holds no
 //! matter how the batch fan-out interleaves with the per-task runs.
 
-use chromata::{analyze, analyze_batch, stage_cache_stats, ArtifactKind, PipelineOptions, Verdict};
+use chromata::{
+    analyze, analyze_batch, ArtifactKind, Budget, CancelToken, Engine, PipelineOptions, Verdict,
+};
 use chromata_task::library::{
     adaptive_renaming, approximate_agreement, consensus, constant_task, disk_complex, hourglass,
     identity_task, klein_bottle_doubled_loop, klein_bottle_single_loop, leader_election,
@@ -118,28 +120,24 @@ fn batch_with_act_fallback_matches_sequential_analysis() {
 
 #[test]
 fn batch_reruns_share_artifacts_through_the_stage_caches() {
-    // A second pass over the same batch must be answered from the verdict
-    // cache: hits strictly increase while the evidence digests (which
-    // exclude cache events by design) stay fixed.
+    // On a private engine the first pass over a batch misses the verdict
+    // cache once per task and the second is answered from it, while the
+    // evidence digests (which exclude cache events by design) stay fixed.
     let tasks = vec![identity_task(3), hourglass(), consensus(3)];
     let options = PipelineOptions::default();
-    let first = analyze_batch(&tasks, options);
-    let hits_before: u64 = stage_cache_stats()
-        .iter()
-        .filter(|(kind, _)| *kind == ArtifactKind::Verdict)
-        .map(|(_, stats)| stats.hits)
-        .sum();
-    let second = analyze_batch(&tasks, options);
-    let hits_after: u64 = stage_cache_stats()
-        .iter()
-        .filter(|(kind, _)| *kind == ArtifactKind::Verdict)
-        .map(|(_, stats)| stats.hits)
-        .sum();
-    assert!(
-        hits_after >= hits_before + tasks.len() as u64,
-        "expected at least {} new verdict-cache hits, got {hits_before} -> {hits_after}",
-        tasks.len()
-    );
+    let engine = Engine::new();
+    let batch = || engine.analyze(&tasks, options, &Budget::unlimited(), &CancelToken::new());
+    let verdict_counts = || {
+        engine
+            .cache_stats()
+            .into_iter()
+            .find(|(kind, _)| *kind == ArtifactKind::Verdict)
+            .map(|(_, stats)| (stats.hits, stats.misses))
+    };
+    let first = batch();
+    assert_eq!(verdict_counts(), Some((0, 3)));
+    let second = batch();
+    assert_eq!(verdict_counts(), Some((3, 3)));
     for (a, b) in first.iter().zip(&second) {
         assert_eq!(
             a.evidence.deterministic_digest(),

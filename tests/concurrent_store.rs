@@ -1,32 +1,22 @@
-//! Concurrency parity for the shared artifact store: `chromata serve`
-//! multiplexes many clients over one process-wide store, so the store
-//! must behave — observably — as if the same analyses had run one at a
-//! time. Pinned here:
+//! Concurrency parity for an engine's artifact store: `chromata serve`
+//! multiplexes many clients over one engine, so its store must behave —
+//! observably — as if the same analyses had run one at a time. Pinned
+//! here:
 //!
 //! 1. **Verdict/digest parity under contention** — N threads analyzing
 //!    an overlapping task set produce verdict renderings and
 //!    evidence-chain digests byte-identical to a sequential cold
 //!    baseline, for every thread and every task.
 //! 2. **Counter coherence** — after (and despite) contention,
-//!    `stage_cache_stats()` satisfies `lookups == hits + misses` for
-//!    every stage cache: every lookup is classified exactly once, no
+//!    `Engine::cache_stats()` satisfies `lookups == hits + misses` for every
+//!    stage cache: every lookup is classified exactly once, no
 //!    increment is lost or double-counted under the cache locks.
 
-use std::sync::{Mutex, OnceLock, PoisonError};
-
-use chromata::{analyze, clear_stage_caches, stage_cache_stats, Analysis, PipelineOptions};
+use chromata::{
+    Analysis, ArtifactKind, Budget, CancelToken, DecisionCacheStats, Engine, PipelineOptions,
+};
 use chromata_task::library::{hourglass, identity_task, pinwheel, two_set_agreement};
 use chromata_task::Task;
-
-/// Serializes tests in this binary: they clear and repopulate the one
-/// process-wide artifact store.
-fn store_guard() -> std::sync::MutexGuard<'static, ()> {
-    static GUARD: OnceLock<Mutex<()>> = OnceLock::new();
-    GUARD
-        .get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-}
 
 /// An overlapping task set: every worker analyzes all of these, so the
 /// same cache entries are hit from many threads at once.
@@ -45,8 +35,23 @@ fn fingerprint(a: &Analysis) -> (String, u64) {
     (a.verdict.to_string(), a.evidence.deterministic_digest())
 }
 
-fn assert_all_coherent(context: &str) {
-    for (kind, stats) in stage_cache_stats() {
+fn analyze(engine: &Engine, task: &Task, options: PipelineOptions) -> Analysis {
+    let tasks = std::slice::from_ref(task);
+    let mut out = engine.analyze(tasks, options, &Budget::unlimited(), &CancelToken::new());
+    out.remove(0)
+}
+
+fn stats_of(engine: &Engine, want: ArtifactKind) -> DecisionCacheStats {
+    engine
+        .cache_stats()
+        .into_iter()
+        .find(|(kind, _)| *kind == want)
+        .map(|(_, stats)| stats)
+        .unwrap_or_default()
+}
+
+fn assert_all_coherent(engine: &Engine, context: &str) {
+    for (kind, stats) in engine.cache_stats() {
         assert!(
             stats.is_coherent(),
             "{context}: {kind} cache incoherent: lookups {} != hits {} + misses {}",
@@ -59,34 +64,33 @@ fn assert_all_coherent(context: &str) {
 
 #[test]
 fn concurrent_analyses_match_the_sequential_baseline() {
-    let _guard = store_guard();
     let options = PipelineOptions::default();
     let tasks = tasks();
 
     // Sequential cold baseline.
-    clear_stage_caches();
+    let sequential = Engine::new();
     let baseline: Vec<(String, u64)> = tasks
         .iter()
-        .map(|t| fingerprint(&analyze(t, options)))
+        .map(|t| fingerprint(&analyze(&sequential, t, options)))
         .collect();
-    assert_all_coherent("sequential baseline");
+    assert_all_coherent(&sequential, "sequential baseline");
 
     // N threads, each analyzing the full overlapping set (shuffled per
     // thread by rotation so lock acquisition orders differ), against a
-    // freshly cleared store.
-    clear_stage_caches();
+    // fresh engine.
+    let engine = Engine::new();
     const THREADS: usize = 8;
     const ROUNDS: usize = 3;
     let results: Vec<Vec<(usize, (String, u64))>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..THREADS)
             .map(|worker| {
-                let tasks = &tasks;
+                let (tasks, engine) = (&tasks, &engine);
                 scope.spawn(move || {
                     let mut out = Vec::new();
                     for round in 0..ROUNDS {
                         for offset in 0..tasks.len() {
                             let i = (worker + round + offset) % tasks.len();
-                            out.push((i, fingerprint(&analyze(&tasks[i], options))));
+                            out.push((i, fingerprint(&analyze(engine, &tasks[i], options))));
                         }
                     }
                     out
@@ -107,38 +111,43 @@ fn concurrent_analyses_match_the_sequential_baseline() {
             );
         }
     }
-    assert_all_coherent("after contention");
+    assert_all_coherent(&engine, "after contention");
+    let verdict = stats_of(&engine, ArtifactKind::Verdict);
+    assert_eq!(verdict.lookups, (THREADS * ROUNDS * tasks.len()) as u64);
 }
 
 #[test]
 fn stats_totals_add_up_under_contention() {
-    let _guard = store_guard();
     let options = PipelineOptions::default();
     let tasks = tasks();
 
-    clear_stage_caches();
+    let engine = Engine::new();
     const THREADS: usize = 6;
     std::thread::scope(|scope| {
         for worker in 0..THREADS {
-            let tasks = &tasks;
+            let (tasks, engine) = (&tasks, &engine);
             scope.spawn(move || {
                 for offset in 0..tasks.len() {
                     let t = &tasks[(worker + offset) % tasks.len()];
-                    let _ = analyze(t, options);
+                    let _ = analyze(engine, t, options);
                 }
             });
         }
     });
 
-    let stats = stage_cache_stats();
-    assert_all_coherent("stats totals");
-    // The store actually saw traffic: at least one stage recorded
-    // lookups, and repeat analyses of the same tasks produced hits.
-    let total_lookups: u64 = stats.iter().map(|(_, s)| s.lookups).sum();
-    let total_hits: u64 = stats.iter().map(|(_, s)| s.hits).sum();
-    assert!(total_lookups > 0, "no stage cache recorded a lookup");
+    assert_all_coherent(&engine, "stats totals");
+    // Every analysis looks its verdict up exactly once, and every
+    // three-process one its split; racing misses may recompute, but
+    // each distinct task is at least one miss and at most one per thread.
+    let analyses = (THREADS * tasks.len()) as u64;
+    let verdict = stats_of(&engine, ArtifactKind::Verdict);
+    assert_eq!(verdict.lookups, analyses);
+    let distinct = tasks.len() as u64;
     assert!(
-        total_hits > 0,
-        "overlapping analyses from {THREADS} threads produced no cache hit"
+        (distinct..=distinct * THREADS as u64).contains(&verdict.misses),
+        "{verdict:?}"
     );
+    let three_process = tasks.iter().filter(|t| t.process_count() == 3).count();
+    let split = stats_of(&engine, ArtifactKind::Split);
+    assert_eq!(split.lookups, (THREADS * three_process) as u64);
 }
