@@ -28,7 +28,7 @@ pub enum Command {
     /// `chromata explain <task> [--act-fallback N] [--json]` — the
     /// verdict plus its evidence chain: which stages ran (or replayed),
     /// what each concluded, per-stage work/wall-clock counters, and the
-    /// process-wide stage-cache statistics.
+    /// engine's verdict-cache statistics.
     Explain {
         /// Registry name or path to a task JSON file.
         task: String,
@@ -36,19 +36,19 @@ pub enum Command {
         act_fallback: usize,
         /// Emit machine-readable JSON instead of the text table.
         json: bool,
-        /// Durable stage-cache directory (`--cache-dir`, falling back
+        /// Durable verdict-cache directory (`--cache-dir`, falling back
         /// to `CHROMATA_CACHE_DIR`).
         cache_dir: Option<PathBuf>,
     },
     /// `chromata batch [--act-fallback N] [--cache-dir DIR] [--digests]
-    /// [task...]` — analyze many tasks through the shared artifact store
+    /// [task...]` — analyze many tasks on one shared engine
     /// (whole library if no tasks are named), one verdict line per task.
     Batch {
         /// Registry names or paths (empty = the whole library).
         tasks: Vec<String>,
         /// ACT fallback rounds for undetermined verdicts.
         act_fallback: usize,
-        /// Durable stage-cache directory (`--cache-dir`, falling back
+        /// Durable verdict-cache directory (`--cache-dir`, falling back
         /// to `CHROMATA_CACHE_DIR`).
         cache_dir: Option<PathBuf>,
         /// Print each task's 16-hex evidence digest (`--digests`).
@@ -95,7 +95,7 @@ pub enum Command {
         act_rounds: usize,
         /// Maximum crash faults injected by the wait-freedom check.
         max_crashes: usize,
-        /// Durable stage-cache directory (`--cache-dir`, falling back
+        /// Durable verdict-cache directory (`--cache-dir`, falling back
         /// to `CHROMATA_CACHE_DIR`).
         cache_dir: Option<PathBuf>,
     },
@@ -103,7 +103,7 @@ pub enum Command {
     /// [--queue N] [--max-payload N] [--budget-ms N] [--cache-dir DIR]
     /// [--persist-secs N] [--idle-secs N]` — the long-lived verdict
     /// daemon: newline-delimited JSON requests over TCP, a shared warm
-    /// artifact store, layered admission control, and background
+    /// engine, layered admission control, and background
     /// persistence (see `crate::serve`).
     Serve {
         /// Bind address (port 0 = OS-assigned; printed on boot).
@@ -118,7 +118,7 @@ pub enum Command {
         max_payload: usize,
         /// Server-side per-request wall-clock cap in milliseconds.
         budget_ms: Option<u64>,
-        /// Durable stage-cache directory (`--cache-dir`, falling back
+        /// Durable verdict-cache directory (`--cache-dir`, falling back
         /// to `CHROMATA_CACHE_DIR`).
         cache_dir: Option<PathBuf>,
         /// Background persistence cadence in seconds (0 = off).
@@ -150,7 +150,7 @@ pub enum Command {
         json: bool,
     },
     /// `chromata cache <stats|verify|clear> [--cache-dir DIR]` —
-    /// offline maintenance of a durable stage-cache directory. `verify`
+    /// offline maintenance of a durable verdict-cache directory. `verify`
     /// exits nonzero when any snapshot is rejected, torn, or corrupt.
     Cache {
         /// `stats`, `verify`, or `clear`.
@@ -160,11 +160,9 @@ pub enum Command {
         cache_dir: Option<PathBuf>,
     },
     /// `chromata fuzz [--seed N] [--rounds K] [--act-fallback N]
-    /// [task...]` — the mutation-fuzzing campaign behind the
-    /// incremental re-analysis claim: derive `K` seeded near-duplicate
-    /// mutants of each base task (whole library if none are named),
-    /// batch-analyze them through the shared per-branch artifact store,
-    /// and report the stage-artifact reuse ratio plus a sample of
+    /// [task...]` — the mutation-fuzzing campaign: derive `K` seeded
+    /// near-duplicate mutants of each base task (whole library if none
+    /// are named), analyze them on one engine, and report a sample of
     /// warm-vs-cold evidence-digest parity lines.
     Fuzz {
         /// Registry names or paths (empty = the whole library).
@@ -840,8 +838,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                             ("detail", Value::String(s.detail.clone())),
                             ("work", Value::UInt(s.work)),
                             ("cache", Value::String(s.cache.label().to_owned())),
-                            ("reused", Value::Bool(s.reused)),
-                            ("subkeys", Value::UInt(s.subkeys as u64)),
                             ("wall_ms", Value::Float(s.wall.as_secs_f64() * 1e3)),
                         ])
                     })
@@ -852,7 +848,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                         json_object(vec![
                             ("cache", Value::String(kind.name().to_owned())),
                             ("hits", Value::UInt(stats.hits)),
-                            ("reuse_hits", Value::UInt(stats.reuse_hits)),
                             ("misses", Value::UInt(stats.misses)),
                             ("evictions", Value::UInt(stats.evictions)),
                         ])
@@ -892,10 +887,9 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             for (kind, stats) in stage_caches {
                 let _ = writeln!(
                     out,
-                    "  {:<13} hits {:>6} (reuse {:>6})  misses {:>6}  evictions {:>6}  restored {:>6}  recovered {:>3}",
+                    "  {:<13} hits {:>6}  misses {:>6}  evictions {:>6}  restored {:>6}  recovered {:>3}",
                     kind.name(),
                     stats.hits,
-                    stats.reuse_hits,
                     stats.misses,
                     stats.evictions,
                     stats.restored,
@@ -975,7 +969,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             let options = PipelineOptions {
                 act_fallback_rounds: act_fallback,
             };
-            // A fresh engine: the reported ratio is the campaign's own.
             let engine = Engine::new();
             let (budget, cancel) = (Budget::unlimited(), CancelToken::new());
             let total = bases.len() * rounds;
@@ -994,16 +987,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 }
             }
             let elapsed = watch.elapsed();
-            let (mut reuse, mut granular_lookups) = (0u64, 0u64);
-            for (kind, stats) in engine.cache_stats() {
-                if matches!(
-                    kind,
-                    chromata::ArtifactKind::LinkGraphs | chromata::ArtifactKind::Presentations
-                ) {
-                    reuse += stats.reuse_hits;
-                    granular_lookups += stats.lookups;
-                }
-            }
             let mut out = String::new();
             let secs = elapsed.as_secs_f64();
             let rate = if secs > 0.0 {
@@ -1016,15 +999,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 "fuzz: seed {seed}, {} base task(s) x {rounds} mutant(s) = {analyzed} analyses in {:.0} ms ({rate:.0} task/s)",
                 bases.len(),
                 secs * 1e3,
-            );
-            let ratio = if granular_lookups > 0 {
-                reuse as f64 / granular_lookups as f64
-            } else {
-                0.0
-            };
-            let _ = writeln!(
-                out,
-                "stage-artifact reuse: {reuse} reuse hit(s) / {granular_lookups} granular lookup(s) = ratio {ratio:.3}",
             );
             // Warm-vs-cold digest parity on a spread sample: re-deciding
             // on a fresh engine must reproduce each sampled evidence
@@ -1431,10 +1405,10 @@ COMMANDS:
     explain <task> [--act-fallback N] [--json] [--cache-dir DIR]
                                  verdict plus its evidence chain: deciding
                                  stage, per-stage work/wall-clock counters,
-                                 and stage-cache statistics
+                                 and verdict-cache statistics
     batch [--act-fallback N] [--cache-dir DIR] [--digests] [task...]
                                  analyze many tasks (whole library if none
-                                 named) through the shared artifact store
+                                 named) on one shared engine
     inspect <task>               complex statistics, homology, LAP counts
     act <task> [--rounds N]      run the Herlihy–Shavit ACT baseline
     export <task> [-o FILE]      dump a library task as JSON
@@ -1448,8 +1422,8 @@ COMMANDS:
     serve [--addr A] [--threads N] [--admission N] [--queue N] [--max-payload N]
           [--budget-ms N] [--cache-dir DIR] [--persist-secs N] [--idle-secs N]
                                  long-lived verdict daemon: newline-delimited
-                                 JSON over TCP against one shared warm artifact
-                                 store; overload degrades to UNKNOWN with a
+                                 JSON over TCP against one shared warm engine;
+                                 overload degrades to UNKNOWN with a
                                  retry hint, never a dropped connection
     request [--addr A] [--op OP] [--act-fallback N] [--budget-ms N]
             [--max-states N] [--retry N] [--json] [task]
@@ -1459,14 +1433,13 @@ COMMANDS:
                                  honoring the server's retry_after_ms hint
     cache <stats|verify|clear> [--cache-dir DIR]
                                  offline audit / maintenance of a durable
-                                 stage-cache directory; `verify` exits nonzero
+                                 verdict-cache directory; `verify` exits nonzero
                                  on any rejected, torn or corrupt snapshot
     fuzz [--seed N] [--rounds K] [--act-fallback N] [task...]
                                  mutation-fuzzing campaign: analyze K seeded
-                                 near-duplicate mutants per base task through
-                                 the shared per-branch artifact store, then
-                                 report the stage-artifact reuse ratio and
-                                 warm-vs-cold evidence-digest parity samples
+                                 near-duplicate mutants per base task on one
+                                 engine, then report warm-vs-cold
+                                 evidence-digest parity samples
     chaos [--seed N] [--rounds K] [--faults LIST] [--cache-dir DIR]
                                  randomized end-to-end fault campaign: replay
                                  a seeded mutant stream through a live serve
@@ -1732,13 +1705,6 @@ mod tests {
             out.contains("2 base task(s) x 4 mutant(s) = 8 analyses"),
             "{out}"
         );
-        // Near-duplicate mutants share per-branch artifacts, so the
-        // campaign must observe a nonzero reuse ratio.
-        let ratio_line = out
-            .lines()
-            .find(|l| l.starts_with("stage-artifact reuse:"))
-            .expect("a reuse line");
-        assert!(!ratio_line.contains("ratio 0.000"), "{out}");
         // Every sampled warm digest reproduces cold, and the campaign
         // says so in a greppable summary line.
         assert!(out.contains("digest-parity "), "{out}");
@@ -1795,41 +1761,22 @@ mod tests {
         assert!(stages
             .iter()
             .any(|s| s["stage"] == Value::String("homology".into())));
-        // Every stage reports its incremental-reuse telemetry: the
-        // reused flag and the number of per-branch sub-keys consulted.
+        // No stage carries per-branch reuse telemetry, and the verdict
+        // cache is the only cache.
         for s in stages {
+            let Value::Object(fields) = s else {
+                panic!("stage must be an object: {out}");
+            };
             assert!(
-                matches!(s["reused"], Value::Bool(_)),
-                "stage must carry a boolean `reused`: {out}"
-            );
-            assert!(
-                matches!(s["subkeys"], Value::UInt(_) | Value::Int(_)),
-                "stage must carry an integer `subkeys`: {out}"
+                fields.iter().all(|(k, _)| k != "reused" && k != "subkeys"),
+                "stage carries reuse telemetry: {out}"
             );
         }
-        let link_stage = stages
-            .iter()
-            .find(|s| s["stage"] == Value::String("link-graphs".into()))
-            .expect("a link-graphs stage");
-        let subkeys = match link_stage["subkeys"] {
-            Value::UInt(n) => n,
-            Value::Int(n) => u64::try_from(n).expect("subkeys is non-negative"),
-            _ => panic!("subkeys must be an integer: {out}"),
-        };
-        assert!(
-            subkeys >= 1,
-            "link-graphs must report one sub-key per input facet: {out}"
-        );
         let Value::Array(caches) = &doc["stage_caches"] else {
             panic!("stage_caches must be an array: {out}");
         };
-        assert_eq!(caches.len(), 6);
-        for c in caches {
-            assert!(
-                matches!(c["reuse_hits"], Value::UInt(_) | Value::Int(_)),
-                "cache must carry `reuse_hits`: {out}"
-            );
-        }
+        assert_eq!(caches.len(), 1, "{out}");
+        assert_eq!(caches[0]["cache"], Value::String("verdict".into()));
         let Value::String(digest) = &doc["evidence_digest"] else {
             panic!("digest must be a string: {out}");
         };

@@ -133,9 +133,9 @@ pub enum Request {
     Analyze(AnalyzeRequest),
     /// Liveness probe.
     Ping,
-    /// Server + stage-cache counters.
+    /// Server + verdict-cache counters.
     Stats,
-    /// Snapshot the stage caches to the server's cache directory now.
+    /// Snapshot the verdict cache to the server's cache directory now.
     Persist,
     /// Graceful shutdown: final persist, then exit.
     Shutdown,
@@ -349,7 +349,7 @@ pub fn pong_response() -> String {
     ]))
 }
 
-/// One stage-cache counter row for the stats response.
+/// One cache counter row for the stats response.
 #[must_use]
 pub fn cache_stats_value(kind: &str, stats: &chromata::DecisionCacheStats) -> Value {
     object(vec![

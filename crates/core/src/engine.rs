@@ -2,10 +2,10 @@
 //!
 //! Theorem 5.1 makes a verdict a pure function of the task, so
 //! everything an [`Engine`] keeps between calls is memoization: the
-//! per-stage [`ArtifactStore`], the I/O seam its verdict snapshots go
-//! through, and the health of its last snapshot. Two engines share
-//! none of it. Tests, the chaos campaign and the CLI commands each build
-//! their own; [`default_engine`] is the one process-wide instance, behind
+//! verdict cache, the I/O seam its snapshots go through, and the health
+//! of its last snapshot. Two engines share none of it. Tests, the chaos
+//! campaign and the CLI commands each build their own;
+//! [`default_engine`] is the one process-wide instance, behind
 //! the `analyze`/`analyze_batch`/`clear_stage_caches`/`stage_cache_stats`/
 //! `load_cache_dir`/`persist_now` conveniences and `Server::start`.
 
@@ -17,24 +17,22 @@ use chromata_task::Task;
 use chromata_topology::{par_map, Budget, CancelToken};
 
 use crate::pipeline::{Analysis, PipelineOptions};
-use crate::stages::cache::{
-    ArtifactKind, ArtifactStore, DecisionCacheStats, ALL_KINDS, CACHE_CAPACITY,
-};
+use crate::stages::cache::{ArtifactKind, DecisionCacheStats, CACHE_CAPACITY};
 use crate::stages::chaos::PersistChaos;
 use crate::stages::persist::{
     self, CacheDirConfig, LoadReport, PersistError, PersistIo, RealIo, SaveReport,
 };
-use crate::stages::run_engine;
+use crate::stages::{run_engine, VerdictCache};
 
-/// A verdict engine: the stage caches every analysis on it shares, the
-/// I/O its verdict snapshots go through, and its persist health.
+/// A verdict engine: the verdict cache every analysis on it shares, the
+/// I/O its snapshots go through, and its persist health.
 pub struct Engine {
-    store: ArtifactStore,
+    verdicts: VerdictCache,
     io: Arc<dyn PersistIo + Send + Sync>,
     /// Failed [`Engine::persist`] calls so far.
     persist_failures: AtomicU64,
     /// Whether the last [`Engine::persist`] failed, so the in-memory
-    /// caches are ahead of the snapshot on disk.
+    /// cache is ahead of the snapshot on disk.
     read_through: AtomicBool,
 }
 
@@ -47,7 +45,7 @@ impl Default for Engine {
 impl Engine {
     fn with_io(io: Arc<dyn PersistIo + Send + Sync>) -> Engine {
         Engine {
-            store: ArtifactStore::with_capacity(CACHE_CAPACITY),
+            verdicts: VerdictCache::new(CACHE_CAPACITY),
             io,
             persist_failures: AtomicU64::new(0),
             read_through: AtomicBool::new(false),
@@ -69,10 +67,10 @@ impl Engine {
 
     /// Decides every task, fanned out with the panic-safe scoped-thread
     /// `par_map` (inline for small slices and without the `parallel`
-    /// feature). All analyses share this engine's caches, so tasks with
-    /// a common canonical form — or merely common split/link artifacts —
-    /// are decided once; verdicts and evidence digests are byte-identical
-    /// to deciding each task alone on a cold engine.
+    /// feature). All analyses share this engine's verdict cache, so tasks
+    /// with a common canonical form are decided once; verdicts and
+    /// evidence digests are byte-identical to deciding each task alone on
+    /// a cold engine.
     ///
     /// The ACT fallback respects the budget's wall-clock deadline and
     /// `cancel`, and — when a deadline is set — escalates its round cap
@@ -112,13 +110,13 @@ impl Engine {
             task.process_count() <= 3,
             "the characterization is specific to at most three processes"
         );
-        run_engine(&self.store, task, options, budget, cancel)
+        run_engine(&self.verdicts, task, options, budget, cancel)
     }
 
     /// Restores the verdict cache from the snapshot in `dir`. Never
     /// fails: corruption degrades to the report's recovery counters.
     pub fn load(&self, dir: &Path) -> LoadReport {
-        persist::load_store(&self.store, dir, self.io.as_ref())
+        persist::load_store(&self.verdicts, dir, self.io.as_ref())
     }
 
     /// Snapshots the verdict cache into `dir` with the durable write
@@ -132,7 +130,7 @@ impl Engine {
     ///
     /// Returns the failing protocol step.
     pub fn persist(&self, dir: &Path) -> Result<SaveReport, PersistError> {
-        let result = persist::save_store(&self.store, dir, self.io.as_ref());
+        let result = persist::save_store(&self.verdicts, dir, self.io.as_ref());
         if result.is_err() {
             self.persist_failures.fetch_add(1, Ordering::Relaxed);
         }
@@ -140,20 +138,15 @@ impl Engine {
         result
     }
 
-    /// Per-stage cache counters, one entry per [`ArtifactKind`] in
-    /// declaration order.
+    /// Cache counters, one entry per [`ArtifactKind`]: the verdict cache.
     #[must_use]
     pub fn cache_stats(&self) -> Vec<(ArtifactKind, DecisionCacheStats)> {
-        ALL_KINDS
-            .iter()
-            .map(|&kind| (kind, self.store.stats_of(kind)))
-            .collect()
+        vec![(ArtifactKind::Verdict, self.verdicts.lock().stats())]
     }
 
-    /// Drops every cached artifact of every stage and resets all cache
-    /// counters.
+    /// Drops every cached verdict and resets the cache counters.
     pub fn clear_caches(&self) {
-        self.store.clear_all();
+        self.verdicts.lock().clear();
     }
 
     /// How many [`Engine::persist`] calls have failed.
@@ -170,8 +163,8 @@ impl Engine {
     }
 
     #[cfg(test)]
-    pub(crate) fn store(&self) -> &ArtifactStore {
-        &self.store
+    pub(crate) fn verdicts(&self) -> &VerdictCache {
+        &self.verdicts
     }
 }
 
@@ -248,7 +241,7 @@ mod tests {
             out[0].evidence.deterministic_digest()
         };
         let verdict_counts = |engine: &Engine| {
-            let stats = engine.store().verdict.lock().stats();
+            let stats = engine.verdicts().lock().stats();
             (stats.hits, stats.misses)
         };
         let first = digest(&a);

@@ -37,7 +37,7 @@
 //! * [`decide_two_process`] / [`synthesize_two_process`] — Proposition
 //!   5.4's complete two-process decider, with search-free witness
 //!   synthesis for the solvable side;
-//! * [`Engine`] — the end-to-end pipeline as a value: its stage caches,
+//! * [`Engine`] — the end-to-end pipeline as a value: its verdict cache,
 //!   its snapshot I/O and [`Engine::analyze`], the one entry point;
 //!   [`analyze`] decides one task on the [`default_engine`].
 //!
@@ -75,9 +75,9 @@ pub use splitting::{
 };
 pub use stages::artifacts::{
     ComponentPresentation, ExplorationReport, HomologyReport, LinkGraphs, Presentations,
-    SubdividedComplex, TrianglePresentations,
+    TrianglePresentations,
 };
-pub use stages::cache::{ArtifactKind, ArtifactStore, SharedCache, StageCache};
+pub use stages::cache::{ArtifactKind, SharedCache, StageCache};
 pub use stages::chaos::{
     parse_fault_kinds, FaultKind, FaultSchedule, NetFault, PersistChaos, PersistFault,
     PlannedFault, ALL_FAULT_KINDS,
@@ -86,7 +86,7 @@ pub use stages::persist::{
     audit_cache_dir, clear_cache_dir, CacheDirConfig, LoadReport, PersistError, SaveReport,
     SnapshotAudit, SnapshotStatus, CACHE_DIR_ENV,
 };
-pub use stages::{CacheEvent, EvidenceChain, Stage, StageEvidence, StageOutcome};
+pub use stages::{CacheEvent, EvidenceChain, StageEvidence};
 pub use two_process::{decide_two_process, synthesize_two_process};
 
 pub use chromata_algebra as algebra;

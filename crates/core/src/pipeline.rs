@@ -11,13 +11,12 @@
 //! input is exact). One-process tasks are trivially solvable.
 //!
 //! The decision tiers run as a *staged verdict engine* (see
-//! [`crate::stages`]): each tier is a [`Stage`](crate::stages::Stage)
-//! with its own bounded, fingerprint-keyed cache in the
-//! [`ArtifactStore`](crate::stages::cache::ArtifactStore) of an
-//! [`Engine`](crate::Engine), and every [`Analysis`] carries the
-//! [`EvidenceChain`] of the stages that produced its verdict. This module
-//! holds the pipeline's types; [`Engine::analyze`](crate::Engine::analyze)
-//! is its one entry point.
+//! [`crate::stages`]): each tier is a timed stage call, an
+//! [`Engine`](crate::Engine) memoizes the verdict of each canonical
+//! task, and every [`Analysis`] carries the [`EvidenceChain`] of the
+//! stages that produced its verdict. This module holds the pipeline's
+//! types; [`Engine::analyze`](crate::Engine::analyze) is its one entry
+//! point.
 //!
 //! Because loop contractibility is undecidable in general (§7), the
 //! pipeline can return [`Verdict::Unknown`]; callers may enable the
@@ -288,7 +287,7 @@ mod tests {
         // cache and the identical second one is served from it.
         let engine = Engine::new();
         let task = two_set_agreement();
-        let verdict_stats = || engine.store().verdict.lock().stats();
+        let verdict_stats = || engine.verdicts().lock().stats();
         let first = decide(&engine, &task);
         let primed = verdict_stats();
         assert_eq!((primed.hits, primed.misses), (0, 1), "{primed:?}");
@@ -308,7 +307,7 @@ mod tests {
         engine.clear_caches();
         let after = decide(&engine, &hourglass()).verdict;
         assert!(before.is_unsolvable() && after.is_unsolvable());
-        assert_eq!(engine.store().verdict.lock().stats().misses, 1);
+        assert_eq!(engine.verdicts().lock().stats().misses, 1);
     }
 
     #[test]
@@ -322,7 +321,7 @@ mod tests {
         std::thread::scope(|s| {
             let _ = s
                 .spawn(|| {
-                    let _guard = engine.store().verdict.lock();
+                    let _guard = engine.verdicts().lock();
                     panic!("worker dies mid-decision");
                 })
                 .join();
@@ -350,7 +349,7 @@ mod tests {
             other => panic!("expected a graceful Unknown, got {other:?}"),
         }
         assert_eq!(starved.evidence.decided_by, "budget");
-        assert!(engine.store().verdict.lock().is_empty());
+        assert!(engine.verdicts().lock().is_empty());
 
         // Nor does it reach disk: the snapshot holds no record at all.
         let dir =

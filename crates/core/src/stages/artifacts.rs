@@ -1,11 +1,10 @@
 //! Typed artifacts flowing between the verdict engine's stages.
 //!
-//! Each artifact is a pure function of the task it is keyed by, so the
-//! per-stage caches in [`super::cache`] can share them across analyses
-//! and across the tasks of a batch: two tasks whose canonical forms
-//! coincide reuse the same [`SubdividedComplex`]; two analyses of the
-//! same split task reuse the same [`LinkGraphs`] and [`Presentations`]
-//! no matter which ACT fallback bound they run with.
+//! Each artifact is a pure function of the split task it is built from:
+//! [`LinkGraphs`] and [`Presentations`] feed the homology tier, whose
+//! [`HomologyReport`] decides the verdict or hands the residue to the
+//! ACT fallback's [`ExplorationReport`]. None of them is cached; the
+//! engine rebuilds them on every verdict-cache miss.
 
 use std::collections::BTreeSet;
 
@@ -15,16 +14,6 @@ use chromata_topology::{Complex, Graph, Simplex, Vertex};
 
 use crate::continuous::ContinuousOutcome;
 use crate::pipeline::Verdict;
-use crate::splitting::SplitOutcome;
-
-/// The §4 splitting deformation of a canonical task — the first cached
-/// artifact on the three-process path.
-#[derive(Clone, Debug)]
-pub struct SubdividedComplex {
-    /// The split, link-connected task `T'` with its splitting steps and
-    /// the degenerate witness, if splitting emptied a solo image.
-    pub split: SplitOutcome,
-}
 
 /// The decidable skeleton of the continuous-map condition: per-vertex
 /// image domains, per-edge image graphs (with their precomputed
@@ -218,7 +207,7 @@ pub struct HomologyReport {
 }
 
 /// Outcome of the bounded ACT exploration ladder, with its effort
-/// counters and cacheability.
+/// counters and whether its verdict may be memoized.
 #[derive(Clone, Debug)]
 pub struct ExplorationReport {
     /// The verdict the ladder settled on.

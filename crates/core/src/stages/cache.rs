@@ -1,9 +1,8 @@
-//! Per-stage artifact caches: bounded, fingerprint-ordered, poison-safe.
+//! The verdict cache: bounded, fingerprint-ordered, poison-safe.
 //!
-//! The staged verdict engine replaces the former single opaque decision
-//! cache with one [`StageCache`] per artifact kind, all living in the
-//! [`ArtifactStore`] an [`Engine`](crate::Engine) owns. Every cache keeps
-//! the semantics the old cache was tested for:
+//! An [`Engine`](crate::Engine) memoizes one thing, the verdict record
+//! of each `(canonical task, ACT bound)`, in a [`SharedCache`]. The
+//! cache keeps these semantics:
 //!
 //! * **FIFO bound** — insertion order is tracked in a queue and the
 //!   oldest entries are evicted first once `capacity` is reached;
@@ -16,21 +15,15 @@
 //! * **stats** — hits, misses and evictions are counted per cache and
 //!   survive poison recovery.
 
-// chromata-lint: allow(D1): imported for the key-addressed stage caches; every use is justified at its site
+// chromata-lint: allow(D1): imported for the key-addressed cache; every use is justified at its site
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::hash::Hash;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
-use chromata_task::Task;
 use chromata_topology::structural_fingerprint;
 
-use super::artifacts::{
-    ExplorationReport, HomologyReport, LinkGraphs, Presentations, SubdividedComplex,
-};
-use super::DecisionRecord;
-
-/// Hit/miss/eviction counters for one stage cache.
+/// Hit/miss/eviction counters for one cache.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct DecisionCacheStats {
     /// Total cache lookups. Under the coherence invariant every lookup
@@ -56,11 +49,8 @@ pub struct DecisionCacheStats {
     /// Complete-looking records skipped on load: checksum mismatch or
     /// undecodable payload.
     pub corrupt_entries: u64,
-    /// Hits on *sub-task-granular* entries (per-branch link graphs and
-    /// presentations): a nonzero value is the proof that an edited or
-    /// near-duplicate task reused artifacts computed for another task.
-    /// Always `<= hits`; stays 0 on whole-task caches. Process-local,
-    /// never persisted.
+    /// Always 0: no cache is keyed below the whole task. Kept while
+    /// the benchmark harness still reads it.
     pub reuse_hits: u64,
 }
 
@@ -82,19 +72,9 @@ impl DecisionCacheStats {
     }
 }
 
-/// The artifact kinds the engine caches, one [`StageCache`] each.
+/// The artifact kinds the engine caches: the verdict alone.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ArtifactKind {
-    /// [`SubdividedComplex`] — the §4 splitting deformation.
-    Split,
-    /// [`LinkGraphs`] — vertex domains, edge graphs, triangle lists.
-    LinkGraphs,
-    /// [`Presentations`] — per-triangle π₁ presentations + chain data.
-    Presentations,
-    /// [`HomologyReport`] — the continuous-map tier outcome.
-    Homology,
-    /// [`ExplorationReport`] — the bounded ACT exploration outcome.
-    Exploration,
     /// The final verdict record with its replayable evidence traces.
     Verdict,
 }
@@ -104,11 +84,6 @@ impl ArtifactKind {
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            ArtifactKind::Split => "split",
-            ArtifactKind::LinkGraphs => "link-graphs",
-            ArtifactKind::Presentations => "presentations",
-            ArtifactKind::Homology => "homology",
-            ArtifactKind::Exploration => "explore",
             ArtifactKind::Verdict => "verdict",
         }
     }
@@ -120,11 +95,11 @@ impl fmt::Display for ArtifactKind {
     }
 }
 
-/// Capacity of each stage cache of a fresh engine (entries). A restored
+/// Capacity of the verdict cache of a fresh engine (entries). A restored
 /// verdict snapshot brings its own capacity in its header.
 pub(crate) const CACHE_CAPACITY: usize = 256;
 
-/// A bounded FIFO cache for one artifact kind.
+/// A bounded FIFO cache.
 ///
 /// Invariant: `queue` holds each key of `map` exactly once. The cache is
 /// key-addressed; the only iteration (poison recovery) sorts by
@@ -135,11 +110,6 @@ pub struct StageCache<K, V> {
     queue: VecDeque<K>,
     capacity: usize,
     stats: DecisionCacheStats,
-    /// Whether entries are keyed at sub-task granularity (per split
-    /// branch). Granular caches additionally count every hit in
-    /// `stats.reuse_hits` — the observable signal that an edit or a
-    /// near-duplicate task shared a branch artifact.
-    granular: bool,
 }
 
 impl<K: Clone + Eq + Hash, V: Clone> StageCache<K, V> {
@@ -151,30 +121,17 @@ impl<K: Clone + Eq + Hash, V: Clone> StageCache<K, V> {
             queue: VecDeque::new(),
             capacity,
             stats: DecisionCacheStats::default(),
-            granular: false,
         }
-    }
-
-    /// An empty *sub-task-granular* cache: hits also bump `reuse_hits`.
-    #[must_use]
-    pub fn with_capacity_granular(capacity: usize) -> Self {
-        let mut cache = Self::with_capacity(capacity);
-        cache.granular = true;
-        cache
     }
 
     /// Looks up an artifact, bumping the lookup and hit/miss counters
     /// (all under the caller's lock, so `lookups == hits + misses` is
-    /// never observably violated). On granular caches a hit also bumps
-    /// `reuse_hits`.
+    /// never observably violated).
     pub fn get(&mut self, key: &K) -> Option<V> {
         let found = self.map.get(key).cloned();
         self.stats.lookups += 1;
         if found.is_some() {
             self.stats.hits += 1;
-            if self.granular {
-                self.stats.reuse_hits += 1;
-            }
         } else {
             self.stats.misses += 1;
         }
@@ -317,15 +274,6 @@ impl<K: Clone + Eq + Hash, V: Clone> SharedCache<K, V> {
         }
     }
 
-    /// An empty shared cache whose entries are keyed at sub-task
-    /// granularity (hits also count as `reuse_hits`).
-    #[must_use]
-    pub fn new_granular(capacity: usize) -> Self {
-        SharedCache {
-            inner: Mutex::new(StageCache::with_capacity_granular(capacity)),
-        }
-    }
-
     /// Locks the cache. If a thread panicked while holding the lock, the
     /// cross-structure invariants are re-validated (and violating
     /// entries dropped) before the guard is handed out.
@@ -341,75 +289,12 @@ impl<K: Clone + Eq + Hash, V: Clone> SharedCache<K, V> {
     }
 }
 
-/// The per-stage caches one [`Engine`](crate::Engine) runs against.
-/// Every analysis on that engine — sequential or batched — shares them,
-/// which is what lets a batch reuse subdivision and presentation
-/// artifacts across tasks.
-pub struct ArtifactStore {
-    pub(crate) split: SharedCache<Task, Arc<SubdividedComplex>>,
-    /// Keyed per split-branch sub-task (a name-erased single-facet
-    /// restriction), not per whole task — see `stages::branch_tasks`.
-    pub(crate) links: SharedCache<Task, Arc<LinkGraphs>>,
-    /// Keyed per split-branch sub-task, like `links`.
-    pub(crate) presentations: SharedCache<Task, Arc<Presentations>>,
-    /// Keyed on the ordered branch list of the split task: the homology
-    /// tier consumes the assembled global artifacts, so its key is the
-    /// full (name-free) branch decomposition.
-    pub(crate) homology: SharedCache<Vec<Task>, Arc<HomologyReport>>,
-    pub(crate) exploration: SharedCache<(Task, usize), Arc<ExplorationReport>>,
-    pub(crate) verdict: SharedCache<(Task, usize), DecisionRecord>,
-}
-
-impl ArtifactStore {
-    pub(crate) fn with_capacity(capacity: usize) -> Self {
-        ArtifactStore {
-            split: SharedCache::new(capacity),
-            links: SharedCache::new_granular(capacity),
-            presentations: SharedCache::new_granular(capacity),
-            homology: SharedCache::new(capacity),
-            exploration: SharedCache::new(capacity),
-            verdict: SharedCache::new(capacity),
-        }
-    }
-
-    /// Stats of one cache by kind.
-    pub(crate) fn stats_of(&self, kind: ArtifactKind) -> DecisionCacheStats {
-        match kind {
-            ArtifactKind::Split => self.split.lock().stats(),
-            ArtifactKind::LinkGraphs => self.links.lock().stats(),
-            ArtifactKind::Presentations => self.presentations.lock().stats(),
-            ArtifactKind::Homology => self.homology.lock().stats(),
-            ArtifactKind::Exploration => self.exploration.lock().stats(),
-            ArtifactKind::Verdict => self.verdict.lock().stats(),
-        }
-    }
-
-    /// Drops every cached artifact and resets every counter.
-    pub(crate) fn clear_all(&self) {
-        self.split.lock().clear();
-        self.links.lock().clear();
-        self.presentations.lock().clear();
-        self.homology.lock().clear();
-        self.exploration.lock().clear();
-        self.verdict.lock().clear();
-    }
-}
-
-/// Every artifact kind, in the fixed reporting order.
-pub(crate) const ALL_KINDS: [ArtifactKind; 6] = [
-    ArtifactKind::Split,
-    ArtifactKind::LinkGraphs,
-    ArtifactKind::Presentations,
-    ArtifactKind::Homology,
-    ArtifactKind::Exploration,
-    ArtifactKind::Verdict,
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::Verdict;
     use chromata_task::library::{constant_task, identity_task, two_process_consensus};
+    use chromata_task::Task;
 
     fn fp(key: &(Task, usize)) -> u64 {
         structural_fingerprint(key)
@@ -494,25 +379,6 @@ mod tests {
         let mut off: StageCache<(Task, usize), Verdict> = StageCache::with_capacity(0);
         off.restore_entry(key(9), v);
         assert!(off.is_empty());
-    }
-
-    #[test]
-    fn granular_caches_count_reuse_hits() {
-        let mut plain: StageCache<(Task, usize), Verdict> = StageCache::with_capacity(4);
-        let mut granular: StageCache<(Task, usize), Verdict> =
-            StageCache::with_capacity_granular(4);
-        let key = (identity_task(2), 0);
-        let v = Verdict::Unknown { reason: "x".into() };
-        for cache in [&mut plain, &mut granular] {
-            assert!(cache.get(&key).is_none());
-            cache.insert(key.clone(), v.clone());
-            assert!(cache.get(&key).is_some());
-            assert!(cache.get(&key).is_some());
-        }
-        assert_eq!(plain.stats().reuse_hits, 0, "whole-task caches never reuse");
-        assert_eq!(granular.stats().reuse_hits, 2);
-        assert!(granular.stats().reuse_hits <= granular.stats().hits);
-        assert!(plain.stats().is_coherent() && granular.stats().is_coherent());
     }
 
     #[test]
@@ -711,11 +577,9 @@ mod tests {
     #[test]
     fn stage_cache_stats_reports_every_kind() {
         let all = crate::Engine::new().cache_stats();
-        assert_eq!(all.len(), ALL_KINDS.len());
-        for (kind, _) in &all {
-            assert!(ALL_KINDS.contains(kind));
-        }
+        assert_eq!(all.len(), 1, "the verdict cache is the only cache");
+        assert_eq!(all[0].0, ArtifactKind::Verdict);
         assert_eq!(ArtifactKind::Verdict.name(), "verdict");
-        assert_eq!(format!("{}", ArtifactKind::LinkGraphs), "link-graphs");
+        assert_eq!(format!("{}", ArtifactKind::Verdict), "verdict");
     }
 }

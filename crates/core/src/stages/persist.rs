@@ -1,16 +1,15 @@
-//! Crash-safe persistence for the [`ArtifactStore`]: a durable verdict
-//! snapshot with corruption-tolerant recovery.
+//! Crash-safe persistence for the verdict cache: a durable snapshot
+//! with corruption-tolerant recovery.
 //!
-//! Only the verdict cache crosses a process boundary. Its entries are
-//! the engine's answers (verdict, deciding tier, replayable stage
+//! The verdict cache is the only cache the engine keeps. Its entries
+//! are the engine's answers (verdict, deciding tier, replayable stage
 //! trace), keyed by canonical task and ACT bound; every other stage
-//! artifact is a deterministic intermediate the engine rebuilds from the
-//! task, so a warm restart costs one file instead of six. The snapshot
-//! lives at `<dir>/verdict.snap`, written with the classic durable
-//! protocol — temp file, fsync, atomic rename, directory fsync — so a
-//! crash at any instant leaves the file equal to either the old
-//! snapshot or the new one, never a mix. The format is line-oriented
-//! and per-record-checksummed:
+//! artifact is a deterministic intermediate the engine rebuilds from
+//! the task. The snapshot lives at `<dir>/verdict.snap`, written with
+//! the classic durable protocol — temp file, fsync, atomic rename,
+//! directory fsync — so a crash at any instant leaves the file equal
+//! to either the old snapshot or the new one, never a mix. The format
+//! is line-oriented and per-record-checksummed:
 //!
 //! ```text
 //! chromata-snap v2 verdict\n         (magic + version + kind)
@@ -24,9 +23,8 @@
 //! Dropping the five non-verdict kinds left the verdict format as it
 //! was, so the magic stays v2: a directory written with all six kinds
 //! still restores its `verdict.snap`, and [`clear_cache_dir`] removes
-//! the other five files, which loading ignores. `reuse_hits` is
-//! process-local telemetry and is deliberately absent from the `H`
-//! record.
+//! the other five files, which loading ignores. The `H` record carries
+//! no `reuse_hits` (always 0) and no `lookups` (rebuilt on load).
 //!
 //! Loading is paranoid and graceful — persistence must never poison a
 //! verdict. The recovery taxonomy (counted per cause in
@@ -56,8 +54,8 @@ use std::path::{Path, PathBuf};
 use chromata_task::Task;
 use chromata_topology::govern;
 
-use super::cache::{ArtifactKind, ArtifactStore, DecisionCacheStats, ALL_KINDS};
-use super::DecisionRecord;
+use super::cache::{ArtifactKind, DecisionCacheStats};
+use super::{DecisionRecord, VerdictCache};
 
 /// One persisted verdict-cache entry: `(canonical task, ACT bound)` →
 /// the decision record.
@@ -65,6 +63,17 @@ type VerdictEntry = ((Task, usize), DecisionRecord);
 
 /// The one artifact kind that is snapshot to disk.
 const KIND: ArtifactKind = ArtifactKind::Verdict;
+
+/// File stems [`clear_cache_dir`] removes: the verdict snapshot plus the
+/// five stage snapshots an older release wrote beside it.
+const SNAPSHOT_STEMS: [&str; 6] = [
+    "split",
+    "link-graphs",
+    "presentations",
+    "homology",
+    "explore",
+    "verdict",
+];
 
 /// Magic prefix of the snapshot file (version-bearing): the first line
 /// is this prefix followed by the artifact-kind name. Bumped to v2 with
@@ -241,12 +250,12 @@ impl LoadReport {
 // Snapshot rendering
 // ---------------------------------------------------------------------------
 
-fn snapshot_path(dir: &Path, kind: ArtifactKind) -> PathBuf {
-    dir.join(format!("{}.snap", kind.name()))
+fn snapshot_path(dir: &Path, stem: &str) -> PathBuf {
+    dir.join(format!("{stem}.snap"))
 }
 
-fn tmp_path(dir: &Path, kind: ArtifactKind) -> PathBuf {
-    dir.join(format!("{}.snap.tmp", kind.name()))
+fn tmp_path(dir: &Path, stem: &str) -> PathBuf {
+    dir.join(format!("{stem}.snap.tmp"))
 }
 
 /// Appends `<tag> <16-hex fnv1a(payload)> <payload>\n`.
@@ -401,7 +410,7 @@ fn parse_snapshot(bytes: &[u8]) -> Result<ParsedSnapshot, String> {
 /// Reads and parses the snapshot in `dir`: `None` when there is no
 /// snapshot file, `Err` when the whole file must be rejected.
 fn read_snapshot(dir: &Path, io: &dyn PersistIo) -> Option<Result<ParsedSnapshot, String>> {
-    match io.read(&snapshot_path(dir, KIND)) {
+    match io.read(&snapshot_path(dir, KIND.name())) {
         Ok(Some(bytes)) => Some(parse_snapshot(&bytes)),
         Ok(None) => None,
         Err(e) => Some(Err(format!("unreadable: {e}"))),
@@ -409,26 +418,26 @@ fn read_snapshot(dir: &Path, io: &dyn PersistIo) -> Option<Result<ParsedSnapshot
 }
 
 // ---------------------------------------------------------------------------
-// Save / load over an ArtifactStore
+// Save / load of a verdict cache
 // ---------------------------------------------------------------------------
 
-/// Snapshots the verdict cache of `store` into `dir` with the durable
+/// Snapshots the verdict cache `store` into `dir` with the durable
 /// write protocol. On an I/O failure the previous snapshot stays valid.
 pub(crate) fn save_store(
-    store: &ArtifactStore,
+    store: &VerdictCache,
     dir: &Path,
     io: &dyn PersistIo,
 ) -> Result<SaveReport, PersistError> {
     io.create_dir_all(dir)
         .map_err(|e| PersistError::new("create-dir", dir, e))?;
     let (capacity, stats, entries) = {
-        let guard = store.verdict.lock();
+        let guard = store.lock();
         (guard.capacity(), guard.stats(), guard.entries_in_order())
     };
-    let target = snapshot_path(dir, KIND);
+    let target = snapshot_path(dir, KIND.name());
     let body = render_snapshot(capacity, stats, &entries)
         .map_err(|e| PersistError::new("encode", &target, e))?;
-    let tmp = tmp_path(dir, KIND);
+    let tmp = tmp_path(dir, KIND.name());
     io.write_tmp(&tmp, body.as_bytes())
         .map_err(|e| PersistError::new("write-tmp", &tmp, e))?;
     io.sync_tmp(&tmp)
@@ -443,10 +452,9 @@ pub(crate) fn save_store(
     })
 }
 
-/// Restores the verdict cache of `store` from the snapshot in `dir`.
+/// Restores the verdict cache `cache` from the snapshot in `dir`.
 /// Never fails: every corruption mode degrades to recovery counters.
-pub(crate) fn load_store(store: &ArtifactStore, dir: &Path, io: &dyn PersistIo) -> LoadReport {
-    let cache = &store.verdict;
+pub(crate) fn load_store(cache: &VerdictCache, dir: &Path, io: &dyn PersistIo) -> LoadReport {
     let Some(parsed) = read_snapshot(dir, io) else {
         return LoadReport {
             missing: 1,
@@ -659,14 +667,14 @@ pub fn audit_cache_dir(dir: &Path) -> SnapshotAudit {
 }
 
 /// Removes every snapshot (and stray temp file) in `dir`, returning how
-/// many files were deleted. The directory itself is kept. Snapshots of
-/// every artifact kind are removed, including the five a six-file
-/// directory from before verdict-only persistence still holds.
+/// many files were deleted. The directory itself is kept. The five stage
+/// snapshots a six-file directory from before verdict-only persistence
+/// still holds are removed too.
 pub fn clear_cache_dir(dir: &Path) -> Result<usize, PersistError> {
     let io = RealIo;
     let mut removed = 0;
-    for &kind in &ALL_KINDS {
-        for path in [snapshot_path(dir, kind), tmp_path(dir, kind)] {
+    for stem in SNAPSHOT_STEMS {
+        for path in [snapshot_path(dir, stem), tmp_path(dir, stem)] {
             match io.read(&path) {
                 Ok(Some(_)) => {
                     io.remove(&path)
@@ -722,20 +730,20 @@ mod tests {
     }
 
     /// A private store with one verdict record per task.
-    fn seeded_store_with(capacity: usize, tasks: &[chromata_task::Task]) -> ArtifactStore {
-        let store = ArtifactStore::with_capacity(capacity);
+    fn seeded_store_with(capacity: usize, tasks: &[chromata_task::Task]) -> VerdictCache {
+        let store = VerdictCache::new(capacity);
         for task in tasks {
-            store.verdict.lock().insert((task.clone(), 5), record());
+            store.lock().insert((task.clone(), 5), record());
         }
         store
     }
 
-    fn seeded_store(capacity: usize) -> ArtifactStore {
+    fn seeded_store(capacity: usize) -> VerdictCache {
         seeded_store_with(capacity, &[two_set_agreement(), constant_task(2)])
     }
 
     fn snapshot_bytes(dir: &Path) -> Vec<u8> {
-        std::fs::read(snapshot_path(dir, KIND)).expect("snapshot exists")
+        std::fs::read(snapshot_path(dir, KIND.name())).expect("snapshot exists")
     }
 
     // -- round trips -------------------------------------------------------
@@ -755,13 +763,12 @@ mod tests {
 
         // Load into a store with a *different* capacity: the snapshot's
         // capacity must win, and a re-save must be byte-identical.
-        let fresh = ArtifactStore::with_capacity(99);
+        let fresh = VerdictCache::new(99);
         let load = load_store(&fresh, &dir, &RealIo);
         assert_eq!(load.restored, 2);
         assert_eq!(load.recovery_events(), 0);
         assert_eq!(load.missing, 0);
-        assert_eq!(fresh.verdict.lock().capacity(), 8);
-        assert_eq!(fresh.split.lock().capacity(), 99, "other caches untouched");
+        assert_eq!(fresh.lock().capacity(), 8);
 
         let dir2 = test_dir("roundtrip-resave");
         save_store(&fresh, &dir2, &RealIo).expect("re-save");
@@ -775,17 +782,17 @@ mod tests {
         let store = seeded_store(8);
         // Bump some counters: 2 hits, 1 miss on the verdict cache.
         let probe = two_set_agreement();
-        store.verdict.lock().get(&(probe.clone(), 5));
-        store.verdict.lock().get(&(probe.clone(), 5));
-        store.verdict.lock().get(&(probe, 999));
+        store.lock().get(&(probe.clone(), 5));
+        store.lock().get(&(probe.clone(), 5));
+        store.lock().get(&(probe, 999));
         let dir = test_dir("stats");
         save_store(&store, &dir, &RealIo).expect("save");
 
-        let fresh = ArtifactStore::with_capacity(4);
+        let fresh = VerdictCache::new(4);
         // Pre-existing counters must survive the merge.
-        fresh.verdict.lock().stats_mut().hits = 10;
+        fresh.lock().stats_mut().hits = 10;
         load_store(&fresh, &dir, &RealIo);
-        let stats = fresh.verdict.lock().stats();
+        let stats = fresh.lock().stats();
         assert_eq!(stats.hits, 12);
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.restored, 2);
@@ -801,17 +808,17 @@ mod tests {
             identity_task(2),
             constant_task(3),
         ];
-        let store = ArtifactStore::with_capacity(4);
+        let store = VerdictCache::new(4);
         for t in &tasks {
-            store.verdict.lock().insert((t.clone(), 1), record());
+            store.lock().insert((t.clone(), 1), record());
         }
         let dir = test_dir("order");
         save_store(&store, &dir, &RealIo).expect("save");
 
-        let fresh = ArtifactStore::with_capacity(4);
+        let fresh = VerdictCache::new(4);
         load_store(&fresh, &dir, &RealIo);
         {
-            let guard = fresh.verdict.lock();
+            let guard = fresh.lock();
             let keys: Vec<_> = guard
                 .entries_in_order()
                 .into_iter()
@@ -821,8 +828,8 @@ mod tests {
             assert_eq!(keys, expected, "snapshot order must be insertion order");
         }
         // One more insert evicts the *oldest restored* entry.
-        fresh.verdict.lock().insert((identity_task(3), 1), record());
-        let guard = fresh.verdict.lock();
+        fresh.lock().insert((identity_task(3), 1), record());
+        let guard = fresh.lock();
         assert_eq!(guard.len(), 4);
         let keys: Vec<_> = guard
             .entries_in_order()
@@ -868,21 +875,21 @@ mod tests {
                 (constant_task(2), 3usize),
                 (identity_task(2), 3usize),
             ];
-            let store = ArtifactStore::with_capacity(capacity);
+            let store = VerdictCache::new(capacity);
             for &i in &order {
                 let key = pool[i].clone();
-                store.verdict.lock().insert(key, record());
+                store.lock().insert(key, record());
             }
             let dir = test_dir("prop");
             save_store(&store, &dir, &RealIo).expect("save");
-            let fresh = ArtifactStore::with_capacity(reload_capacity);
+            let fresh = VerdictCache::new(reload_capacity);
             let report = load_store(&fresh, &dir, &RealIo);
             prop_assert_eq!(report.recovery_events(), 0);
 
-            let original = store.verdict.lock().entries_in_order();
-            let restored = fresh.verdict.lock().entries_in_order();
+            let original = store.lock().entries_in_order();
+            let restored = fresh.lock().entries_in_order();
             prop_assert_eq!(report.restored as usize, original.len());
-            prop_assert_eq!(fresh.verdict.lock().capacity(), capacity);
+            prop_assert_eq!(fresh.lock().capacity(), capacity);
             prop_assert_eq!(original.len(), restored.len());
             for ((k1, v1), (k2, v2)) in original.iter().zip(restored.iter()) {
                 prop_assert_eq!(k1, k2);
@@ -899,9 +906,9 @@ mod tests {
 
     #[test]
     fn torn_write_matrix_every_truncation_point() {
-        let store = ArtifactStore::with_capacity(4);
-        store.verdict.lock().insert((constant_task(2), 1), record());
-        store.verdict.lock().insert((identity_task(2), 1), record());
+        let store = VerdictCache::new(4);
+        store.lock().insert((constant_task(2), 1), record());
+        store.lock().insert((identity_task(2), 1), record());
         let dir = test_dir("torn-src");
         save_store(&store, &dir, &RealIo).expect("save");
         let full = snapshot_bytes(&dir);
@@ -909,11 +916,11 @@ mod tests {
 
         let work = test_dir("torn");
         std::fs::create_dir_all(&work).expect("mkdir");
-        let target = snapshot_path(&work, KIND);
+        let target = snapshot_path(&work, KIND.name());
         for cut in 0..=full.len() {
             let prefix = &full[..cut];
             std::fs::write(&target, prefix).expect("write truncated");
-            let fresh = ArtifactStore::with_capacity(4);
+            let fresh = VerdictCache::new(4);
             let report = load_store(&fresh, &work, &RealIo);
             assert_eq!(report.missing, 0, "verdict.snap exists (cut {cut})");
 
@@ -930,9 +937,9 @@ mod tests {
                 assert_eq!(report.restored, complete_entries, "cut {cut}");
                 assert_eq!(report.torn_entries, u64::from(torn_tail), "cut {cut}");
                 assert_eq!(report.corrupt_entries, 0, "cut {cut}");
-                assert_eq!(fresh.verdict.lock().capacity(), 4, "cut {cut}");
+                assert_eq!(fresh.lock().capacity(), 4, "cut {cut}");
                 // Restored entries must be checksum-valid originals.
-                for (k, _) in fresh.verdict.lock().entries_in_order() {
+                for (k, _) in fresh.lock().entries_in_order() {
                     assert!(k == (constant_task(2), 1) || k == (identity_task(2), 1));
                 }
             }
@@ -1121,7 +1128,7 @@ mod tests {
                     "verdict.snap is a hybrid after faulting op {trigger} ({mode:?})"
                 );
                 // And a paranoid load sees zero corruption.
-                let fresh = ArtifactStore::with_capacity(8);
+                let fresh = VerdictCache::new(8);
                 let report = load_store(&fresh, &work, &RealIo);
                 assert_eq!(
                     report.recovery_events(),
@@ -1171,7 +1178,7 @@ mod tests {
                 on_disk == old_bytes || on_disk == new_bytes,
                 "verdict.snap torn after ENOSPC at op {trigger}"
             );
-            let fresh = ArtifactStore::with_capacity(8);
+            let fresh = VerdictCache::new(8);
             let report = load_store(&fresh, &work, &RealIo);
             assert_eq!(report.recovery_events(), 0, "ENOSPC at op {trigger}");
 
@@ -1232,12 +1239,12 @@ mod tests {
 
         // Op 0 is the one read (the verdict snapshot).
         let io = FaultIo::new(0, IoFaultMode::Error(io::ErrorKind::PermissionDenied));
-        let fresh = ArtifactStore::with_capacity(4);
+        let fresh = VerdictCache::new(4);
         let report = load_store(&fresh, &dir, &io);
         assert_eq!(report.rejected_snapshots, 1);
         assert_eq!(report.restored, 0);
-        assert_eq!(fresh.verdict.lock().stats().rejected_snapshots, 1);
-        assert!(fresh.verdict.lock().is_empty());
+        assert_eq!(fresh.lock().stats().rejected_snapshots, 1);
+        assert!(fresh.lock().is_empty());
         // The file itself is untouched: a healthy read restores it.
         let report = load_store(&fresh, &dir, &RealIo);
         assert_eq!(report.restored, 1);
@@ -1249,13 +1256,13 @@ mod tests {
 
     #[test]
     fn flipped_payload_byte_is_corrupt_rest_restored() {
-        let store = ArtifactStore::with_capacity(4);
-        store.verdict.lock().insert((constant_task(2), 1), record());
-        store.verdict.lock().insert((identity_task(2), 1), record());
+        let store = VerdictCache::new(4);
+        store.lock().insert((constant_task(2), 1), record());
+        store.lock().insert((identity_task(2), 1), record());
         let dir = test_dir("flip");
         save_store(&store, &dir, &RealIo).expect("save");
 
-        let path = snapshot_path(&dir, KIND);
+        let path = snapshot_path(&dir, KIND.name());
         let mut bytes = std::fs::read(&path).expect("read");
         // Flip one payload byte of the last entry record: 'E', space,
         // 16 hex digits, space — the payload starts 19 bytes in.
@@ -1266,17 +1273,16 @@ mod tests {
         bytes[last_e + 20] ^= 0x01;
         std::fs::write(&path, &bytes).expect("rewrite");
 
-        let fresh = ArtifactStore::with_capacity(4);
+        let fresh = VerdictCache::new(4);
         let report = load_store(&fresh, &dir, &RealIo);
         assert_eq!(report.corrupt_entries, 1);
         assert_eq!(report.restored, 1);
         assert_eq!(report.rejected_snapshots, 0);
         assert_eq!(report.torn_entries, 0);
-        let stats = fresh.verdict.lock().stats();
+        let stats = fresh.lock().stats();
         assert_eq!(stats.corrupt_entries, 1);
         assert_eq!(stats.restored, 1);
         let keys: Vec<_> = fresh
-            .verdict
             .lock()
             .entries_in_order()
             .into_iter()
@@ -1291,17 +1297,17 @@ mod tests {
         let store = seeded_store_with(4, &[constant_task(2)]);
         let dir = test_dir("magic");
         save_store(&store, &dir, &RealIo).expect("save");
-        let path = snapshot_path(&dir, KIND);
+        let path = snapshot_path(&dir, KIND.name());
         let mut bytes = std::fs::read(&path).expect("read");
         bytes[0] ^= 0x20;
         std::fs::write(&path, &bytes).expect("rewrite");
 
-        let fresh = ArtifactStore::with_capacity(4);
+        let fresh = VerdictCache::new(4);
         let report = load_store(&fresh, &dir, &RealIo);
         assert_eq!(report.rejected_snapshots, 1);
         assert_eq!(report.restored, 0);
-        assert!(fresh.verdict.lock().is_empty());
-        assert_eq!(fresh.verdict.lock().stats().rejected_snapshots, 1);
+        assert!(fresh.lock().is_empty());
+        assert_eq!(fresh.lock().stats().rejected_snapshots, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1312,20 +1318,20 @@ mod tests {
         let store = seeded_store_with(4, &[constant_task(2)]);
         let dir = test_dir("old-version");
         save_store(&store, &dir, &RealIo).expect("save");
-        let path = snapshot_path(&dir, KIND);
+        let path = snapshot_path(&dir, KIND.name());
         let text = std::fs::read_to_string(&path).expect("read");
         let downgraded = text.replacen("chromata-snap v2 ", "chromata-snap v1 ", 1);
         assert_ne!(text, downgraded, "version token must be present");
         std::fs::write(&path, downgraded).expect("rewrite");
 
-        let fresh = ArtifactStore::with_capacity(4);
+        let fresh = VerdictCache::new(4);
         let report = load_store(&fresh, &dir, &RealIo);
         assert_eq!(report.rejected_snapshots, 1);
         assert_eq!(report.restored, 0);
-        assert!(fresh.verdict.lock().is_empty());
+        assert!(fresh.lock().is_empty());
         // The degraded store re-saves as v2 and round-trips cleanly.
         save_store(&store, &dir, &RealIo).expect("re-save");
-        let again = ArtifactStore::with_capacity(4);
+        let again = VerdictCache::new(4);
         let report = load_store(&again, &dir, &RealIo);
         assert_eq!(report.rejected_snapshots, 0);
         assert_eq!(report.restored, 1);
@@ -1339,15 +1345,15 @@ mod tests {
         let store = seeded_store_with(4, &[constant_task(2)]);
         let dir = test_dir("cross-kind");
         save_store(&store, &dir, &RealIo).expect("save");
-        let path = snapshot_path(&dir, KIND);
+        let path = snapshot_path(&dir, KIND.name());
         let text = std::fs::read_to_string(&path).expect("read");
         let split = text.replacen("chromata-snap v2 verdict", "chromata-snap v2 split", 1);
         assert_ne!(text, split, "kind token must be present");
         std::fs::write(&path, split).expect("rewrite");
-        let fresh = ArtifactStore::with_capacity(4);
+        let fresh = VerdictCache::new(4);
         let report = load_store(&fresh, &dir, &RealIo);
         assert_eq!(report.rejected_snapshots, 1);
-        assert!(fresh.verdict.lock().is_empty());
+        assert!(fresh.lock().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1367,7 +1373,7 @@ mod tests {
         assert_eq!(audit.capacity, 4);
 
         // Flip a payload byte: the audit must flag it.
-        let path = snapshot_path(&dir, KIND);
+        let path = snapshot_path(&dir, KIND.name());
         let mut bytes = std::fs::read(&path).expect("read");
         let last_e = bytes
             .windows(3)

@@ -1,13 +1,11 @@
-//! Cross-crate proof of the incremental re-analysis contract (public
-//! API only): for seeded near-duplicate mutants of library tasks, a
-//! warm run through the shared per-branch artifact store returns the
-//! same verdict and a byte-identical `deterministic_digest` as a cold
-//! run on a fresh engine — and the warm run demonstrably reuses
-//! per-branch artifacts (`reuse_hits`), including the edit-one-branch
-//! scenario where only the downstream work of the edited split branch
-//! is recomputed.
+//! Cross-crate proof of the re-analysis contract (public API only): for
+//! seeded near-duplicate mutants of library tasks, a warm run through
+//! one shared engine returns the same verdict and a byte-identical
+//! `deterministic_digest` as a cold run on a fresh engine — including
+//! the edit-one-entry scenario, where a task is re-analyzed after one
+//! carrier entry of an already-decided task changed.
 
-use chromata::{Analysis, ArtifactKind, Budget, CancelToken, Engine, PipelineOptions, Verdict};
+use chromata::{Analysis, Budget, CancelToken, Engine, PipelineOptions, Verdict};
 use chromata_task::library::{consensus, hourglass, identity_task, pinwheel, two_set_agreement};
 use chromata_task::{mutate_task, Task};
 use chromata_topology::{Complex, Simplex, Vertex};
@@ -36,20 +34,6 @@ fn analyze(engine: &Engine, task: &Task, options: PipelineOptions) -> Analysis {
     let tasks = std::slice::from_ref(task);
     let mut out = engine.analyze(tasks, options, &Budget::unlimited(), &CancelToken::new());
     out.remove(0)
-}
-
-/// Sums `(reuse_hits, hits, lookups)` over `engine`'s per-branch
-/// (granular) stage caches.
-fn granular_totals(engine: &Engine) -> (u64, u64, u64) {
-    let mut totals = (0, 0, 0);
-    for (kind, stats) in engine.cache_stats() {
-        if matches!(kind, ArtifactKind::LinkGraphs | ArtifactKind::Presentations) {
-            totals.0 += stats.reuse_hits;
-            totals.1 += stats.hits;
-            totals.2 += stats.lookups;
-        }
-    }
-    totals
 }
 
 #[test]
@@ -93,17 +77,7 @@ fn incremental_reanalysis_matches_cold_runs_and_reuses_branches() {
         }
     }
 
-    // Near-duplicate mutants share split branches, so the warm pass
-    // must have served per-branch artifacts from the cache.
-    let (reuse, hits, lookups) = granular_totals(&warm);
-    assert!(
-        reuse > 0,
-        "a warm campaign over near-duplicates must reuse branch artifacts"
-    );
-    assert!(reuse <= hits, "reuse_hits is a subset of hits");
-    assert!(hits <= lookups, "cache coherence: hits <= lookups");
-
-    // -- Edit one split branch: only its downstream work re-runs. -----
+    // -- Edit one carrier entry of an already-decided task. ------------
     let v = |c: u8, x: i64| Vertex::of(c, x);
     let t1 = Simplex::new(vec![v(0, 0), v(1, 0), v(2, 0)]);
     let t2 = Simplex::new(vec![v(0, 1), v(1, 0), v(2, 0)]);
@@ -124,32 +98,13 @@ fn incremental_reanalysis_matches_cold_runs_and_reuses_branches() {
 
     let engine = Engine::new();
     let _ = analyze(&engine, &base, options);
-    assert_eq!(
-        granular_totals(&engine),
-        (0, 0, 4),
-        "a cold base reuses nothing"
-    );
     let warm_edited = analyze(&engine, &edited, options);
 
-    // τ1's branch is untouched by the edit, so re-analysis reuses it —
-    // once in link-graphs, once in presentations — and recomputes only
-    // τ2's; the verdict and digest still match the cold run.
-    assert_eq!(
-        granular_totals(&engine),
-        (2, 2, 8),
-        "the unedited branch must be reused by link-graphs and presentations"
-    );
+    // The engine that decided the base re-decides the edit exactly as
+    // a fresh one does.
     assert_eq!(
         verdict_label(&warm_edited.verdict),
         verdict_label(&cold_edited.verdict)
     );
     assert_eq!(warm_edited.evidence.deterministic_digest(), cold_digest);
-    let links_ev = warm_edited
-        .evidence
-        .stages
-        .iter()
-        .find(|s| s.stage == "link-graphs")
-        .expect("a link-graphs stage");
-    assert!(links_ev.reused, "evidence must surface the branch reuse");
-    assert_eq!(links_ev.subkeys, 2, "one sub-key per input facet");
 }

@@ -1,4 +1,4 @@
-//! End-to-end persistence: durable stage caches must never change an
+//! End-to-end persistence: the durable verdict cache must never change an
 //! answer. The three acceptance properties pinned here:
 //!
 //! 1. **Digest parity** — verdicts and evidence-chain digests are
