@@ -10,7 +10,6 @@
 //! chromata-lint: allow(P3): coset-table indices are bounded by the table length, which the enumeration loop grows before any row is addressed; every site is advisory-flagged by P2 for per-site review
 
 use crate::presentation::Presentation;
-use crate::word::Word;
 
 /// Outcome of a bounded coset enumeration.
 #[derive(Clone, Debug)]
@@ -49,12 +48,16 @@ impl CosetTable {
     pub fn trace_from_identity(&self, w: &[i32]) -> usize {
         let mut c = 0usize;
         for &x in w {
-            let g = (x.unsigned_abs() as usize) - 1;
-            assert!(g < self.generators, "letter {x} out of range");
-            let l = 2 * g + usize::from(x < 0);
-            c = self.rows[c][l];
+            c = self.rows[c][letter(self.generators, x)];
         }
         c
+    }
+
+    /// The table rows, one per coset in enumeration order: `rows()[c][l]`
+    /// is the target of coset `c` under letter `l`.
+    #[must_use]
+    pub fn rows(&self) -> &[Vec<usize>] {
+        &self.rows
     }
 
     /// Whether `w` represents the identity element of the group.
@@ -66,6 +69,13 @@ impl CosetTable {
 
 /// Runs coset enumeration for the trivial subgroup of the presented group,
 /// creating at most `max_cosets` cosets.
+///
+/// Returns [`Enumeration::Finite`] only with a complete table; a budget
+/// exhausted before the table closes gives [`Enumeration::OutOfBounds`].
+///
+/// # Panics
+///
+/// Panics if a relator mentions a generator outside the presentation.
 ///
 /// # Examples
 ///
@@ -92,41 +102,60 @@ pub fn coset_enumeration(p: &Presentation, max_cosets: usize) -> Enumeration {
             rows: vec![vec![]],
         });
     }
-    let mut e = Enumerator::new(g, p.relators().to_vec(), max_cosets);
-    match e.run() {
-        Ok(()) => Enumeration::Finite(e.into_table()),
+    let relators: Vec<Vec<usize>> = p
+        .relators()
+        .iter()
+        .map(|r| r.iter().map(|&x| letter(g, x)).collect())
+        .collect();
+    let mut e = Enumerator::new(g, max_cosets);
+    match e.run(&relators) {
+        Ok(()) => e
+            .into_table()
+            .map_or(Enumeration::OutOfBounds, Enumeration::Finite),
         Err(Overflow) => Enumeration::OutOfBounds,
     }
 }
 
+/// The column of generator letter `x` (`2k` = generator `k`, `2k+1` = its
+/// inverse).
+fn letter(generators: usize, x: i32) -> usize {
+    let g = (x.unsigned_abs() as usize) - 1;
+    assert!(g < generators, "letter {x} out of range");
+    2 * g + usize::from(x < 0)
+}
+
 struct Overflow;
 
+/// The empty table entry.
+const EMPTY: u32 = u32::MAX;
+
 struct Enumerator {
-    generators: usize,
-    relators: Vec<Word>,
-    /// table[c][l]: Option<coset>; entries may reference dead cosets and
-    /// must be read through `rep`.
-    table: Vec<Vec<Option<usize>>>,
+    /// Columns per row: `2 · generators`.
+    width: usize,
+    /// `table[c * width + l]`: the target coset of coset `c` under letter
+    /// `l`, or `EMPTY`; entries may reference dead cosets and must be
+    /// read through `rep`.
+    table: Vec<u32>,
     parent: Vec<usize>,
+    /// The number of live cosets (`parent[c] == c`), kept by `define` and
+    /// by merges.
+    live: usize,
     max_cosets: usize,
     pending: Vec<(usize, usize)>,
 }
 
 impl Enumerator {
-    fn new(generators: usize, relators: Vec<Word>, max_cosets: usize) -> Self {
+    fn new(generators: usize, max_cosets: usize) -> Self {
+        let width = 2 * generators;
         Enumerator {
-            generators,
-            relators,
-            table: vec![vec![None; 2 * generators]],
+            width,
+            table: vec![EMPTY; width],
             parent: vec![0],
-            max_cosets,
+            live: 1,
+            // Coset indices must stay below the `EMPTY` sentinel.
+            max_cosets: max_cosets.min(EMPTY as usize),
             pending: Vec::new(),
         }
-    }
-
-    fn letter(x: i32) -> usize {
-        let g = (x.unsigned_abs() as usize) - 1;
-        2 * g + usize::from(x < 0)
     }
 
     fn inv(l: usize) -> usize {
@@ -141,9 +170,20 @@ impl Enumerator {
         c
     }
 
+    /// The raw entry of coset `c` under letter `l`.
+    fn entry(&self, c: usize, l: usize) -> Option<usize> {
+        let t = self.table[c * self.width + l];
+        (t != EMPTY).then_some(t as usize)
+    }
+
+    fn set_entry(&mut self, c: usize, l: usize, t: usize) {
+        // `define` keeps every coset index below `max_cosets ≤ EMPTY`.
+        self.table[c * self.width + l] = t as u32;
+    }
+
     fn get(&mut self, c: usize, l: usize) -> Option<usize> {
         let c = self.rep(c);
-        let t = self.table[c][l]?;
+        let t = self.entry(c, l)?;
         Some(self.rep(t))
     }
 
@@ -152,10 +192,10 @@ impl Enumerator {
         let t = self.rep(t);
         match self.get(c, l) {
             None => {
-                self.table[c][l] = Some(t);
+                self.set_entry(c, l, t);
                 // Backward entry.
                 match self.get(t, Self::inv(l)) {
-                    None => self.table[t][Self::inv(l)] = Some(c),
+                    None => self.set_entry(t, Self::inv(l), c),
                     Some(u) if u != c => self.pending.push((u, c)),
                     Some(_) => {}
                 }
@@ -166,12 +206,13 @@ impl Enumerator {
     }
 
     fn define(&mut self, c: usize, l: usize) -> Result<usize, Overflow> {
-        if self.table.len() >= self.max_cosets {
+        let n = self.parent.len();
+        if n >= self.max_cosets {
             return Err(Overflow);
         }
-        let n = self.table.len();
-        self.table.push(vec![None; 2 * self.generators]);
+        self.table.resize(self.table.len() + self.width, EMPTY);
         self.parent.push(n);
+        self.live += 1;
         self.set(c, l, n);
         Ok(n)
     }
@@ -185,12 +226,13 @@ impl Enumerator {
             }
             let (keep, drop) = if a < b { (a, b) } else { (b, a) };
             self.parent[drop] = keep;
-            for l in 0..2 * self.generators {
-                if let Some(t) = self.table[drop][l] {
+            self.live -= 1;
+            for l in 0..self.width {
+                if let Some(t) = self.entry(drop, l) {
                     match self.get(keep, l) {
                         None => {
                             let t = self.rep(t);
-                            self.table[keep][l] = Some(t);
+                            self.set_entry(keep, l, t);
                         }
                         Some(u) => {
                             let t = self.rep(t);
@@ -204,15 +246,16 @@ impl Enumerator {
         }
     }
 
-    /// Scans relator `r` at coset `c`, filling gaps with new cosets.
-    fn scan_and_fill(&mut self, c: usize, r: &Word) -> Result<(), Overflow> {
+    /// Scans relator `r` (as letters) at coset `c`, filling gaps with new
+    /// cosets.
+    fn scan_and_fill(&mut self, c: usize, r: &[usize]) -> Result<(), Overflow> {
         loop {
             let c = self.rep(c);
             // Forward scan.
             let mut f = c;
             let mut i = 0usize;
             while i < r.len() {
-                match self.get(f, Self::letter(r[i])) {
+                match self.get(f, r[i]) {
                     Some(t) => {
                         f = t;
                         i += 1;
@@ -231,7 +274,7 @@ impl Enumerator {
             let mut b = c;
             let mut j = r.len();
             while j > i {
-                match self.get(b, Self::inv(Self::letter(r[j - 1]))) {
+                match self.get(b, Self::inv(r[j - 1])) {
                     Some(t) => {
                         b = t;
                         j -= 1;
@@ -248,32 +291,34 @@ impl Enumerator {
             }
             if j == i + 1 {
                 // Deduction closes the scan.
-                self.set(f, Self::letter(r[i]), b);
+                self.set(f, r[i], b);
                 self.process_coincidences();
                 return Ok(());
             }
             // Fill one gap and rescan.
-            self.define(f, Self::letter(r[i]))?;
+            self.define(f, r[i])?;
             self.process_coincidences();
         }
     }
 
-    fn run(&mut self) -> Result<(), Overflow> {
+    fn run(&mut self, relators: &[Vec<usize>]) -> Result<(), Overflow> {
         // Repeat passes until stable: scan every live coset against every
         // relator and fill every undefined entry. Coincidence processing
-        // can invalidate earlier scans, hence the outer fixpoint loop.
+        // can invalidate earlier scans, hence the outer fixpoint loop. A
+        // pass that changes nothing has filled every entry of every live
+        // coset, so the table is complete; `into_table` re-checks that.
         loop {
             let mut changed = false;
             let mut c = 0usize;
-            while c < self.table.len() {
+            while c < self.parent.len() {
                 if self.rep(c) != c {
                     c += 1;
                     continue;
                 }
-                for r in self.relators.clone() {
-                    let before = self.live_count();
-                    self.scan_and_fill(c, &r)?;
-                    if self.live_count() != before {
+                for r in relators {
+                    let before = self.live;
+                    self.scan_and_fill(c, r)?;
+                    if self.live != before {
                         changed = true;
                     }
                     if self.rep(c) != c {
@@ -281,7 +326,7 @@ impl Enumerator {
                     }
                 }
                 if self.rep(c) == c {
-                    for l in 0..2 * self.generators {
+                    for l in 0..self.width {
                         if self.get(c, l).is_none() {
                             self.define(c, l)?;
                             self.process_coincidences();
@@ -291,57 +336,33 @@ impl Enumerator {
                 }
                 c += 1;
             }
-            if !changed && self.is_complete() {
-                return Ok(());
-            }
             if !changed {
-                // No structural change but incomplete: impossible, since
-                // undefined entries are always filled above. Guard anyway.
                 return Ok(());
             }
         }
     }
 
-    fn live_count(&mut self) -> usize {
-        (0..self.table.len())
-            .filter(|&c| self.parent[c] == c)
-            .count()
-    }
-
-    fn is_complete(&mut self) -> bool {
-        for c in 0..self.table.len() {
-            if self.rep(c) != c {
-                continue;
-            }
-            for l in 0..2 * self.generators {
-                if self.get(c, l).is_none() {
-                    return false;
-                }
-            }
+    /// The live cosets, renumbered in order, as a complete coset table;
+    /// `None` if some live coset still has an undefined entry.
+    fn into_table(mut self) -> Option<CosetTable> {
+        let n = self.parent.len();
+        let live: Vec<usize> = (0..n).filter(|&c| self.parent[c] == c).collect();
+        let mut index = vec![0usize; n];
+        for (i, &c) in live.iter().enumerate() {
+            index[c] = i;
         }
-        true
-    }
-
-    fn into_table(mut self) -> CosetTable {
-        // Compact live cosets.
-        let live: Vec<usize> = (0..self.table.len())
-            .filter(|&c| self.rep(c) == c)
-            .collect();
-        let index: std::collections::BTreeMap<usize, usize> =
-            live.iter().enumerate().map(|(i, &c)| (c, i)).collect();
         let mut rows = Vec::with_capacity(live.len());
         for &c in &live {
-            let mut row = Vec::with_capacity(2 * self.generators);
-            for l in 0..2 * self.generators {
-                let t = self.get(c, l).expect("table complete"); // chromata-lint: allow(P1): compaction runs only after the enumeration converged, so the coset table is total
-                row.push(index[&t]);
+            let mut row = Vec::with_capacity(self.width);
+            for l in 0..self.width {
+                row.push(index[self.get(c, l)?]);
             }
             rows.push(row);
         }
-        CosetTable {
-            generators: self.generators,
+        Some(CosetTable {
+            generators: self.width / 2,
             rows,
-        }
+        })
     }
 }
 

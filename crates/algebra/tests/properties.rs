@@ -3,9 +3,9 @@
 use proptest::prelude::*;
 
 use chromata_algebra::{
-    concat, cyclic_reduce, delete_generator, exponent_vector, feasible, free_reduce, invert,
-    smith_normal_form, solve_integer, substitute, ChainComplex, IntMatrix, Presentation,
-    SparseMatrix, Word,
+    concat, coset_enumeration, cyclic_reduce, delete_generator, exponent_vector, feasible,
+    free_reduce, invert, smith_normal_form, solve_integer, substitute, ChainComplex, Enumeration,
+    IntMatrix, Presentation, SparseMatrix, Word,
 };
 use chromata_topology::{Complex, Simplex, Vertex};
 
@@ -208,6 +208,270 @@ mod reference {
     }
 }
 
+/// The coset enumerator as it was before the flat table: nested `Vec`
+/// rows of `Option<usize>`, relators cloned per coset and live cosets
+/// recounted per scan. Kept verbatim (only `into_table` returns bare rows)
+/// as the oracle for [`coset_enumeration`].
+mod reference_tc {
+    use chromata_algebra::{Presentation, Word};
+
+    /// The rows of the complete table, or `None` when the budget ran out.
+    pub fn enumerate(p: &Presentation, max_cosets: usize) -> Option<Vec<Vec<usize>>> {
+        let g = p.generator_count();
+        if g == 0 {
+            return Some(vec![vec![]]);
+        }
+        let mut e = Enumerator::new(g, p.relators().to_vec(), max_cosets);
+        match e.run() {
+            Ok(()) => Some(e.into_table()),
+            Err(Overflow) => None,
+        }
+    }
+
+    struct Overflow;
+
+    struct Enumerator {
+        generators: usize,
+        relators: Vec<Word>,
+        /// table[c][l]: Option<coset>; entries may reference dead cosets and
+        /// must be read through `rep`.
+        table: Vec<Vec<Option<usize>>>,
+        parent: Vec<usize>,
+        max_cosets: usize,
+        pending: Vec<(usize, usize)>,
+    }
+
+    impl Enumerator {
+        fn new(generators: usize, relators: Vec<Word>, max_cosets: usize) -> Self {
+            Enumerator {
+                generators,
+                relators,
+                table: vec![vec![None; 2 * generators]],
+                parent: vec![0],
+                max_cosets,
+                pending: Vec::new(),
+            }
+        }
+
+        fn letter(x: i32) -> usize {
+            let g = (x.unsigned_abs() as usize) - 1;
+            2 * g + usize::from(x < 0)
+        }
+
+        fn inv(l: usize) -> usize {
+            l ^ 1
+        }
+
+        fn rep(&mut self, mut c: usize) -> usize {
+            while self.parent[c] != c {
+                self.parent[c] = self.parent[self.parent[c]];
+                c = self.parent[c];
+            }
+            c
+        }
+
+        fn get(&mut self, c: usize, l: usize) -> Option<usize> {
+            let c = self.rep(c);
+            let t = self.table[c][l]?;
+            Some(self.rep(t))
+        }
+
+        fn set(&mut self, c: usize, l: usize, t: usize) {
+            let c = self.rep(c);
+            let t = self.rep(t);
+            match self.get(c, l) {
+                None => {
+                    self.table[c][l] = Some(t);
+                    // Backward entry.
+                    match self.get(t, Self::inv(l)) {
+                        None => self.table[t][Self::inv(l)] = Some(c),
+                        Some(u) if u != c => self.pending.push((u, c)),
+                        Some(_) => {}
+                    }
+                }
+                Some(u) if u != t => self.pending.push((u, t)),
+                Some(_) => {}
+            }
+        }
+
+        fn define(&mut self, c: usize, l: usize) -> Result<usize, Overflow> {
+            if self.table.len() >= self.max_cosets {
+                return Err(Overflow);
+            }
+            let n = self.table.len();
+            self.table.push(vec![None; 2 * self.generators]);
+            self.parent.push(n);
+            self.set(c, l, n);
+            Ok(n)
+        }
+
+        fn process_coincidences(&mut self) {
+            while let Some((a, b)) = self.pending.pop() {
+                let a = self.rep(a);
+                let b = self.rep(b);
+                if a == b {
+                    continue;
+                }
+                let (keep, drop) = if a < b { (a, b) } else { (b, a) };
+                self.parent[drop] = keep;
+                for l in 0..2 * self.generators {
+                    if let Some(t) = self.table[drop][l] {
+                        match self.get(keep, l) {
+                            None => {
+                                let t = self.rep(t);
+                                self.table[keep][l] = Some(t);
+                            }
+                            Some(u) => {
+                                let t = self.rep(t);
+                                if t != u {
+                                    self.pending.push((t, u));
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        /// Scans relator `r` at coset `c`, filling gaps with new cosets.
+        fn scan_and_fill(&mut self, c: usize, r: &Word) -> Result<(), Overflow> {
+            loop {
+                let c = self.rep(c);
+                // Forward scan.
+                let mut f = c;
+                let mut i = 0usize;
+                while i < r.len() {
+                    match self.get(f, Self::letter(r[i])) {
+                        Some(t) => {
+                            f = t;
+                            i += 1;
+                        }
+                        None => break,
+                    }
+                }
+                if i == r.len() {
+                    if f != c {
+                        self.pending.push((f, c));
+                        self.process_coincidences();
+                    }
+                    return Ok(());
+                }
+                // Backward scan.
+                let mut b = c;
+                let mut j = r.len();
+                while j > i {
+                    match self.get(b, Self::inv(Self::letter(r[j - 1]))) {
+                        Some(t) => {
+                            b = t;
+                            j -= 1;
+                        }
+                        None => break,
+                    }
+                }
+                if j == i {
+                    if f != b {
+                        self.pending.push((f, b));
+                        self.process_coincidences();
+                    }
+                    return Ok(());
+                }
+                if j == i + 1 {
+                    // Deduction closes the scan.
+                    self.set(f, Self::letter(r[i]), b);
+                    self.process_coincidences();
+                    return Ok(());
+                }
+                // Fill one gap and rescan.
+                self.define(f, Self::letter(r[i]))?;
+                self.process_coincidences();
+            }
+        }
+
+        fn run(&mut self) -> Result<(), Overflow> {
+            // Repeat passes until stable: scan every live coset against every
+            // relator and fill every undefined entry. Coincidence processing
+            // can invalidate earlier scans, hence the outer fixpoint loop.
+            loop {
+                let mut changed = false;
+                let mut c = 0usize;
+                while c < self.table.len() {
+                    if self.rep(c) != c {
+                        c += 1;
+                        continue;
+                    }
+                    for r in self.relators.clone() {
+                        let before = self.live_count();
+                        self.scan_and_fill(c, &r)?;
+                        if self.live_count() != before {
+                            changed = true;
+                        }
+                        if self.rep(c) != c {
+                            break; // this coset died; move on
+                        }
+                    }
+                    if self.rep(c) == c {
+                        for l in 0..2 * self.generators {
+                            if self.get(c, l).is_none() {
+                                self.define(c, l)?;
+                                self.process_coincidences();
+                                changed = true;
+                            }
+                        }
+                    }
+                    c += 1;
+                }
+                if !changed && self.is_complete() {
+                    return Ok(());
+                }
+                if !changed {
+                    // No structural change but incomplete: impossible, since
+                    // undefined entries are always filled above. Guard anyway.
+                    return Ok(());
+                }
+            }
+        }
+
+        fn live_count(&mut self) -> usize {
+            (0..self.table.len())
+                .filter(|&c| self.parent[c] == c)
+                .count()
+        }
+
+        fn is_complete(&mut self) -> bool {
+            for c in 0..self.table.len() {
+                if self.rep(c) != c {
+                    continue;
+                }
+                for l in 0..2 * self.generators {
+                    if self.get(c, l).is_none() {
+                        return false;
+                    }
+                }
+            }
+            true
+        }
+
+        fn into_table(mut self) -> Vec<Vec<usize>> {
+            // Compact live cosets.
+            let live: Vec<usize> = (0..self.table.len())
+                .filter(|&c| self.rep(c) == c)
+                .collect();
+            let index: std::collections::BTreeMap<usize, usize> =
+                live.iter().enumerate().map(|(i, &c)| (c, i)).collect();
+            let mut rows = Vec::with_capacity(live.len());
+            for &c in &live {
+                let mut row = Vec::with_capacity(2 * self.generators);
+                for l in 0..2 * self.generators {
+                    let t = self.get(c, l).expect("table complete");
+                    row.push(index[&t]);
+                }
+                rows.push(row);
+            }
+            rows
+        }
+    }
+}
+
 /// A random presentation: 1–6 generators, up to 7 relators of length up
 /// to 9 over those generators.
 fn presentation() -> impl Strategy<Value = (usize, Vec<Word>)> {
@@ -216,6 +480,73 @@ fn presentation() -> impl Strategy<Value = (usize, Vec<Word>)> {
         let relators = proptest::collection::vec(proptest::collection::vec(letter, 0..10), 0..8);
         relators.prop_map(move |rs| (n, rs))
     })
+}
+
+/// A random presentation leaning towards finite groups: 1–3 generators,
+/// each usually bounded by a power relator, plus up to 4 random relators;
+/// paired with a coset budget of 1–200, so that both enumeration outcomes
+/// occur.
+fn budgeted_presentation() -> impl Strategy<Value = (Presentation, usize)> {
+    (1usize..4).prop_flat_map(|n| {
+        let letter = (1i32..=n as i32, 0u8..2).prop_map(|(g, neg)| if neg == 1 { -g } else { g });
+        let powers = proptest::collection::vec(0usize..6, n);
+        let extra = proptest::collection::vec(proptest::collection::vec(letter, 0..9), 0..5);
+        (powers, extra, 1usize..200).prop_map(move |(powers, extra, budget)| {
+            let mut relators: Vec<Word> = powers
+                .iter()
+                .enumerate()
+                .filter(|&(_, &k)| k > 0)
+                .map(|(g, &k)| vec![g as i32 + 1; k])
+                .collect();
+            relators.extend(extra);
+            (Presentation::new(n, relators), budget)
+        })
+    })
+}
+
+/// The rows of a finished enumeration, `None` when it ran out of budget.
+fn enumeration_rows(e: Enumeration) -> Option<Vec<Vec<usize>>> {
+    match e {
+        Enumeration::Finite(t) => Some(t.rows().to_vec()),
+        Enumeration::OutOfBounds => None,
+    }
+}
+
+#[test]
+fn coset_enumeration_matches_reference_on_known_groups() {
+    let groups = [
+        Presentation::new(1, vec![vec![1; 5]]),
+        // S3, Q8, Z/2 × Z/2 and A5 = ⟨a, b | a², b³, (ab)⁵⟩.
+        Presentation::new(2, vec![vec![1, 1], vec![2, 2], vec![1, 2, 1, 2, 1, 2]]),
+        Presentation::new(
+            2,
+            vec![vec![1, 1, 1, 1], vec![1, 1, -2, -2], vec![-2, 1, 2, 1]],
+        ),
+        Presentation::new(2, vec![vec![1, 1], vec![2, 2], vec![1, 2, 1, 2]]),
+        Presentation::new(2, vec![vec![1, 1], vec![2, 2, 2], [1, 2].repeat(5)]),
+        // The infinite (3, 3, 3) triangle group never closes.
+        Presentation::new(2, vec![vec![1, 1, 1], vec![2, 2, 2], [1, 2].repeat(3)]),
+    ];
+    let (mut finite, mut out_of_bounds) = (0, 0);
+    for p in &groups {
+        for budget in 1..=130 {
+            let rows = enumeration_rows(coset_enumeration(p, budget));
+            assert_eq!(
+                rows,
+                reference_tc::enumerate(p, budget),
+                "{p:?} at {budget}"
+            );
+            if rows.is_some() {
+                finite += 1;
+            } else {
+                out_of_bounds += 1;
+            }
+        }
+    }
+    assert!(
+        finite > 0 && out_of_bounds > 0,
+        "{finite} finite, {out_of_bounds} out of bounds"
+    );
 }
 
 /// A random 2-complex on up to 7 vertices: a random subset of the
@@ -260,6 +591,15 @@ proptest! {
         prop_assert_eq!(q.relators().to_vec(), rrel);
         // Simplification is idempotent, which the summary relies on.
         prop_assert_eq!(q.simplified(), q.clone());
+    }
+
+    #[test]
+    fn coset_enumeration_matches_reference(input in budgeted_presentation()) {
+        let (p, budget) = input;
+        prop_assert_eq!(
+            enumeration_rows(coset_enumeration(&p, budget)),
+            reference_tc::enumerate(&p, budget)
+        );
     }
 
     #[test]

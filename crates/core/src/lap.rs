@@ -3,7 +3,7 @@
 use std::collections::BTreeSet;
 
 use chromata_task::Task;
-use chromata_topology::{Simplex, Vertex};
+use chromata_topology::{Complex, Simplex, Vertex};
 
 /// A local articulation point: a vertex `y ∈ Δ(σ)` whose link in `Δ(σ)`
 /// has at least two connected components (paper, §4).
@@ -51,12 +51,7 @@ pub fn laps(task: &Task) -> Vec<Lap> {
     for sigma in task.input().facets() {
         let img = task.delta().image_of(sigma);
         for y in img.disconnected_link_vertices() {
-            let components = img.link(&y).connected_components();
-            out.push(Lap {
-                facet: sigma.clone(),
-                vertex: y,
-                components,
-            });
+            out.push(lap_at(img, sigma, y));
         }
     }
     out
@@ -67,12 +62,68 @@ pub fn laps(task: &Task) -> Vec<Lap> {
 pub fn first_lap_of_facet(task: &Task, sigma: &Simplex) -> Option<Lap> {
     let img = task.delta().image_of(sigma);
     let y = img.disconnected_link_vertices().into_iter().next()?;
+    Some(lap_at(img, sigma, y))
+}
+
+/// The LAP at `y` of `img = Δ(σ)`.
+fn lap_at(img: &Complex, sigma: &Simplex, y: Vertex) -> Lap {
     let components = img.link(&y).connected_components();
-    Some(Lap {
+    Lap {
         facet: sigma.clone(),
         vertex: y,
         components,
-    })
+    }
+}
+
+/// The LAPs of one input facet `σ`, kept current across the splits at `σ`.
+///
+/// A split at `y` rewrites only the simplices of `Δ(σ)` that contain `y`
+/// (§4.1), so only `y`, its neighbours and its copies can change status. None but `y` does: a neighbour `v` keeps `y`'s component for
+/// all its simplices with `y`, so its link only renames `y` to one copy,
+/// and the link of the copy `y_i` is the connected component `C_i`. The
+/// split therefore just removes `y` from the set. The set is ordered like
+/// [`Complex::vertices`], so [`FacetLaps::first`] names the LAP
+/// [`first_lap_of_facet`] would.
+pub(crate) struct FacetLaps {
+    facet: Simplex,
+    /// The vertices of `Δ(σ)` with a disconnected link, as vertex
+    /// simplices: the order `Complex::vertices` iterates in.
+    articulated: BTreeSet<Simplex>,
+}
+
+impl FacetLaps {
+    /// Scans every vertex of `img = Δ(σ)`.
+    pub(crate) fn scan(img: &Complex, sigma: &Simplex) -> Self {
+        FacetLaps {
+            facet: sigma.clone(),
+            articulated: articulated(img),
+        }
+    }
+
+    /// The first LAP of `σ`, given the current `img = Δ(σ)`.
+    pub(crate) fn first(&self, img: &Complex) -> Option<Lap> {
+        let y = self.articulated.first()?.iter().next()?;
+        Some(lap_at(img, &self.facet, y.clone()))
+    }
+
+    /// Records that `y` was split; `img` is the new `Δ(σ)`, which debug
+    /// builds rescan to confirm the set.
+    pub(crate) fn split(&mut self, y: &Vertex, img: &Complex) {
+        self.articulated.remove(&Simplex::vertex(y.clone()));
+        debug_assert_eq!(
+            self.articulated,
+            articulated(img),
+            "a split at {y} changed another vertex's link"
+        );
+    }
+}
+
+/// The vertices of `img` with a disconnected link, as vertex simplices.
+fn articulated(img: &Complex) -> BTreeSet<Simplex> {
+    img.disconnected_link_vertices()
+        .into_iter()
+        .map(Simplex::vertex)
+        .collect()
 }
 
 #[cfg(test)]

@@ -71,7 +71,8 @@ pub use engine::{
 pub use lap::{first_lap_of_facet, laps, Lap};
 pub use pipeline::{Analysis, DecisionCacheStats, Obstruction, PipelineOptions, Verdict};
 pub use splitting::{
-    split_all, split_once, transport_witness, unsplit_simplex, unsplit_vertex, SplitOutcome,
+    split_all, split_once, transport_witness, unsplit_simplex, unsplit_vertex, SplitError,
+    SplitOutcome,
 };
 pub use stages::artifacts::{
     ComponentPresentation, ExplorationReport, HomologyReport, LinkGraphs, Presentations,

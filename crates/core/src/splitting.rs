@@ -19,134 +19,236 @@
 //! Lemma 4.2: splitting preserves solvability. Theorem 4.3: iterating
 //! until no LAP remains yields a link-connected task `T'`.
 
-use chromata_task::{is_canonical, Task};
+use std::collections::BTreeMap;
+use std::fmt;
+use std::sync::Arc;
+
+use chromata_task::{is_canonical, Task, TaskError};
 use chromata_topology::{CarrierMap, Complex, Simplex, Value, Vertex};
 
-use crate::lap::{first_lap_of_facet, Lap};
+use crate::lap::{FacetLaps, Lap};
 
 /// The outcome of iterated LAP elimination (Theorem 4.3): the
 /// link-connected task `T'` and the sequence of splits performed.
 #[derive(Clone, Debug)]
 pub struct SplitOutcome {
     /// The link-connected task `T' = (I, O', Δ')` (the last well-formed
-    /// task if the elimination became degenerate).
+    /// task if the elimination became degenerate; the input task if it
+    /// failed with `error`).
     pub task: Task,
     /// The splitting steps, in the order performed.
     pub steps: Vec<Lap>,
     /// If a split emptied some solo image, the input vertex concerned:
     /// the original task is unsolvable outright.
     pub degenerate: Option<Vertex>,
+    /// Why the elimination stopped short, if a precondition or an
+    /// invariant of §4 failed. Never [`SplitError::Degenerate`], which is
+    /// reported in `degenerate`.
+    pub error: Option<SplitError>,
 }
 
-/// Splits one local articulation point, producing `T_y = (I, O_y, Δ_y)`.
+/// Why a split produced no task.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum SplitError {
+    /// The split empties the solo image of this input vertex: the original
+    /// task is unsolvable (module docs). The one variant a well-formed
+    /// canonical three-process task can produce.
+    Degenerate(Vertex),
+    /// The task has this many processes, not three: the deformation is
+    /// specific to 2-dimensional output complexes (paper §7).
+    NotThreeProcess(usize),
+    /// The LAP's link has fewer than two components.
+    NotArticulated(Vertex),
+    /// A residual vertex of an image simplex under `σ` lies in no link
+    /// component of `y`, against Lemma 4.1.
+    ResidualOutsideLink {
+        /// The residual vertex.
+        vertex: Vertex,
+        /// The image simplex containing it and `y`.
+        simplex: Simplex,
+    },
+    /// The split task fails validation, against Claim 1 / Lemma 4.1.
+    InvalidTask(TaskError),
+}
+
+impl fmt::Display for SplitError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SplitError::Degenerate(x) => {
+                write!(f, "the split empties the solo image of input vertex {x}")
+            }
+            SplitError::NotThreeProcess(n) => write!(
+                f,
+                "the splitting deformation needs three processes, not {n}"
+            ),
+            SplitError::NotArticulated(y) => write!(f, "vertex {y} is not articulated"),
+            SplitError::ResidualOutsideLink { vertex, simplex } => write!(
+                f,
+                "residual vertex {vertex} of {simplex} is in no link component of the split vertex"
+            ),
+            SplitError::InvalidTask(e) => write!(f, "the split task is invalid: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for SplitError {}
+
+/// Splits one local articulation point, producing `T_y = (I, O_y, Δ_y)`:
+/// the one-step reference for [`split_all`]. It rebuilds every re-targeted
+/// image from its facets and validates the whole task, where `split_all`
+/// rewrites in place and validates once.
 ///
 /// # Errors
 ///
-/// Returns the input vertex whose image became empty when the split is
-/// degenerate (see the module docs) — a sound unsolvability certificate.
+/// Returns [`SplitError::Degenerate`] with the input vertex whose image
+/// became empty when the split is degenerate (see the module docs) — a
+/// sound unsolvability certificate. Any other [`SplitError`] means the
+/// task does not have exactly three processes, `lap` does not identify a
+/// current articulation point of the task, or the split task failed
+/// validation.
 ///
 /// # Panics
 ///
-/// Panics if the task does not have exactly three processes (the
-/// deformation is specific to 2-dimensional output complexes, paper §7),
-/// if `lap` does not identify a current articulation point of the task, or
-/// (in debug builds) if the task is not canonical.
-pub fn split_once(task: &Task, lap: &Lap) -> Result<Task, Vertex> {
-    assert_eq!(
-        task.process_count(),
-        3,
-        "the splitting deformation is specific to three-process tasks"
-    );
+/// Panics (in debug builds) if the task is not canonical.
+pub fn split_once(task: &Task, lap: &Lap) -> Result<Task, SplitError> {
+    three_processes(task)?;
     debug_assert!(is_canonical(task), "splitting requires a canonical task");
-    assert!(
-        lap.component_count() >= 2,
-        "vertex {} is not articulated",
-        lap.vertex
-    );
+    let plan = plan_split(task.input(), task.delta(), lap)?;
+    let mut delta = task.delta().clone();
+    rebuild(&mut delta, &lap.vertex, plan);
+    finish(task, delta)
+}
+
+fn three_processes(task: &Task) -> Result<(), SplitError> {
+    match task.process_count() {
+        3 => Ok(()),
+        n => Err(SplitError::NotThreeProcess(n)),
+    }
+}
+
+/// The task `(I, ⋃ Δ, Δ)` for the split workspace `delta`, validated.
+fn finish(task: &Task, delta: CarrierMap) -> Result<Task, SplitError> {
+    let output = delta.full_image();
+    Task::new(task.name().to_owned(), task.input().clone(), output, delta)
+        .map_err(SplitError::InvalidTask)
+}
+
+/// A planned split: for each image `Δ(τ)` that contains `y`, the copies
+/// each of its facets containing `y` is re-targeted to (§4.1). Images
+/// without `y` do not change.
+type Retargeting = Vec<(Simplex, BTreeMap<Simplex, Vec<Vertex>>)>;
+
+/// Plans the split of `lap` on `delta`, which it only reads.
+fn plan_split(input: &Complex, delta: &CarrierMap, lap: &Lap) -> Result<Retargeting, SplitError> {
     let y = &lap.vertex;
+    if lap.component_count() < 2 {
+        return Err(SplitError::NotArticulated(y.clone()));
+    }
+    // The copies `y_0, …, y_{r-1}`, one per link component.
     let copies: Vec<Vertex> = (0..lap.component_count())
         .map(|i| y.with_value(Value::split(y.value().clone(), i as u32)))
         .collect();
-
-    let mut delta = CarrierMap::new();
-    for (tau, img) in task.delta().iter() {
-        let mut facets: Vec<Simplex> = Vec::new();
-        for rho in img.facets() {
-            if !rho.contains(y) {
-                facets.push(rho.clone());
-                continue;
-            }
-            if tau.is_face_of(&lap.facet) {
+    let mut plan = Vec::new();
+    for (tau, img) in delta.iter() {
+        if !img.contains_vertex(y) {
+            continue;
+        }
+        let under_sigma = tau.is_face_of(&lap.facet);
+        let mut targets = BTreeMap::new();
+        for rho in img.facets().filter(|rho| rho.contains(y)) {
+            let to = if !under_sigma {
+                // Fan-out rule for simplices not under σ.
+                copies.clone()
+            } else if let Some(z) = rho.iter().find(|z| *z != y) {
                 // Single-copy rule: the copy is determined by the residual
                 // vertices' link component.
-                match rho.iter().find(|z| *z != y) {
-                    Some(z) => {
-                        let copy = lap
-                            .component_of(z)
-                            .and_then(|i| copies.get(i))
-                            .unwrap_or_else(|| {
-                                // chromata-lint: allow(P1): guaranteed by Lemma 4.1; a violation is a soundness bug worth aborting on
-                                panic!(
-                                    "residual vertex {z} of {rho} not in any link component of {y}"
-                                )
-                            });
-                        facets.push(rho.substituted(y, copy.clone()));
-                    }
-                    None => {
-                        // ρ = {y} at the vertex level: intersection rule.
-                        for i in allowed_copies_for_solo(task, lap, tau) {
-                            let copy = copies.get(i).expect("allowed copy index in range"); // chromata-lint: allow(P1): allowed_copies_for_solo draws indices from 0..component_count = copies.len()
-                            facets.push(Simplex::vertex(copy.clone()));
-                        }
-                    }
-                }
+                let copy = lap
+                    .component_of(z)
+                    .and_then(|i| copies.get(i))
+                    .ok_or_else(|| SplitError::ResidualOutsideLink {
+                        vertex: z.clone(),
+                        simplex: rho.clone(),
+                    })?;
+                vec![copy.clone()]
             } else {
-                // Fan-out rule for simplices not under σ.
-                for c in &copies {
-                    facets.push(rho.substituted(y, c.clone()));
-                }
+                // ρ = {y} at the vertex level: intersection rule.
+                let allowed = allowed_copies_for_solo(input, delta, lap, tau);
+                copies
+                    .iter()
+                    .zip(allowed)
+                    .filter(|(_, ok)| *ok)
+                    .map(|(copy, _)| copy.clone())
+                    .collect()
+            };
+            targets.insert(rho.clone(), to);
+        }
+        if targets.len() == img.facet_count() && targets.values().all(Vec::is_empty) {
+            // Degenerate: a solo image vanished; the original task is
+            // unsolvable (module docs). Simplices are never empty, so this
+            // returns.
+            if let Some(x) = tau.iter().next() {
+                return Err(SplitError::Degenerate(x.clone()));
             }
         }
-        if facets.is_empty() {
-            // Degenerate: a solo image vanished; the original task is
-            // unsolvable (module docs).
-            let x = tau
-                .vertices()
-                .first()
-                .expect("carrier-map domains are non-empty simplices") // chromata-lint: allow(P1): Δ is keyed by simplices, which have at least one vertex
-                .clone();
-            return Err(x);
-        }
-        delta.insert(tau.clone(), Complex::from_facets(facets));
+        plan.push((tau.clone(), targets));
     }
-    let output = delta.full_image();
-    Ok(
-        Task::new(task.name().to_owned(), task.input().clone(), output, delta)
-            .expect("splitting preserves task validity (Claim 1 / Lemma 4.1)"), // chromata-lint: allow(P1): guaranteed by Claim 1 / Lemma 4.1; a violation is a soundness bug worth aborting on
-    )
+    Ok(plan)
 }
 
-/// The component indices a solo decision `{y} ∈ Δ(x)` may keep after the
-/// split: those realized by `y`'s partners in `Δ(e)` for *every* input
-/// edge `x ⊂ e ⊆ σ` (intersection over incident edges under σ).
-fn allowed_copies_for_solo(task: &Task, lap: &Lap, x: &Simplex) -> Vec<usize> {
-    let mut allowed: Vec<usize> = (0..lap.component_count()).collect();
-    for e in task.input().simplices_of_dim(1) {
+/// Applies a planned split by rebuilding each re-targeted image from its
+/// facets.
+fn rebuild(delta: &mut CarrierMap, y: &Vertex, plan: Retargeting) {
+    for (tau, targets) in plan {
+        let Some(img) = delta.get(&tau) else { continue };
+        let facets: Vec<Simplex> = img
+            .facets()
+            .flat_map(|m| match targets.get(m) {
+                Some(to) => to.iter().map(|w| m.substituted(y, w.clone())).collect(),
+                None => vec![m.clone()],
+            })
+            .collect();
+        delta.insert_shared(tau, Arc::new(Complex::from_facets(facets)));
+    }
+}
+
+/// Applies a planned split by rewriting the star of `y` inside each
+/// re-targeted image; every other image keeps its shared handle.
+fn rewrite_in_place(delta: &mut CarrierMap, y: &Vertex, plan: Retargeting) {
+    for (tau, mut targets) in plan {
+        if let Some(img) = delta.image_mut(&tau) {
+            img.substitute_in_star(y, |m| targets.remove(m).unwrap_or_default());
+        }
+    }
+}
+
+/// Which copies a solo decision `{y} ∈ Δ(x)` may keep after the split,
+/// by component index: those realized by `y`'s partners in `Δ(e)` for
+/// *every* input edge `x ⊂ e ⊆ σ` (intersection over incident edges
+/// under σ).
+fn allowed_copies_for_solo(
+    input: &Complex,
+    delta: &CarrierMap,
+    lap: &Lap,
+    x: &Simplex,
+) -> Vec<bool> {
+    let mut allowed = vec![true; lap.component_count()];
+    for e in input.simplices_of_dim(1) {
         if !x.is_face_of(e) || !e.is_face_of(&lap.facet) {
             continue;
         }
-        let img = task.delta().image_of(e);
+        let Some(img) = delta.get(e) else { continue };
         if !img.contains_vertex(&lap.vertex) {
             continue;
         }
-        let mut local: Vec<usize> = img
-            .link(&lap.vertex)
-            .vertices()
-            .filter_map(|z| lap.component_of(z))
-            .collect();
-        local.sort_unstable();
-        local.dedup();
-        allowed.retain(|i| local.contains(i));
+        let mut local = vec![false; allowed.len()];
+        for z in img.link(&lap.vertex).vertices() {
+            if let Some(flag) = lap.component_of(z).and_then(|i| local.get_mut(i)) {
+                *flag = true;
+            }
+        }
+        for (a, l) in allowed.iter_mut().zip(local) {
+            *a &= l;
+        }
     }
     allowed
 }
@@ -156,10 +258,18 @@ fn allowed_copies_for_solo(task: &Task, lap: &Lap, x: &Simplex) -> Vec<usize> {
 /// current facet until none remains, then moving on. Lemma 4.1 guarantees
 /// termination and that processed facets stay clean.
 ///
+/// The elimination mutates one carrier-map workspace: each split rewrites
+/// the star of the split vertex inside the images that contain it, the
+/// current facet's LAPs are tracked rather than rescanned, and the task is
+/// validated once, at the end. The result equals the loop of
+/// [`first_lap_of_facet`](crate::first_lap_of_facet) and [`split_once`].
+///
+/// A LAP in a task without three processes, or a broken invariant, stops
+/// the elimination with `error` set instead of panicking.
+///
 /// # Panics
 ///
-/// Panics if the task does not have exactly three processes or (in debug
-/// builds) is not canonical.
+/// Panics (in debug builds) if the task has a LAP and is not canonical.
 ///
 /// # Examples
 ///
@@ -175,31 +285,76 @@ fn allowed_copies_for_solo(task: &Task, lap: &Lap, x: &Simplex) -> Vec<usize> {
 /// ```
 #[must_use]
 pub fn split_all(task: &Task) -> SplitOutcome {
-    let mut current = task.clone();
     let mut steps = Vec::new();
-    let facets: Vec<Simplex> = task.input().facets().cloned().collect();
-    for sigma in facets {
-        while let Some(lap) = first_lap_of_facet(&current, &sigma) {
-            match split_once(&current, &lap) {
-                Ok(next) => current = next,
-                Err(x) => {
+    let result = eliminate(task, &mut steps).and_then(|(delta, degenerate)| {
+        // A task no split changed is returned as given.
+        let split = steps.len() > usize::from(degenerate.is_some());
+        let t = if split {
+            finish(task, delta)?
+        } else {
+            task.clone()
+        };
+        Ok((t, degenerate))
+    });
+    match result {
+        Ok((t, degenerate)) => {
+            debug_assert!(degenerate.is_some() || t.is_link_connected());
+            SplitOutcome {
+                task: t,
+                steps,
+                degenerate,
+                error: None,
+            }
+        }
+        Err(e) => SplitOutcome {
+            task: task.clone(),
+            steps,
+            degenerate: None,
+            error: Some(e),
+        },
+    }
+}
+
+/// The elimination loop of [`split_all`] on a workspace copy of `Δ`:
+/// records each split in `steps` and returns the final carrier map, plus
+/// the input vertex if a split was degenerate (the map is then the one
+/// before that split). The task's preconditions are checked before its
+/// first split, as [`split_once`] would check them.
+fn eliminate(
+    task: &Task,
+    steps: &mut Vec<Lap>,
+) -> Result<(CarrierMap, Option<Vertex>), SplitError> {
+    let input = task.input();
+    let mut delta = task.delta().clone();
+    for sigma in input.facets() {
+        let Some(img) = delta.get(sigma) else {
+            continue;
+        };
+        let mut laps = FacetLaps::scan(img, sigma);
+        while let Some(lap) = delta.get(sigma).and_then(|img| laps.first(img)) {
+            if steps.is_empty() {
+                three_processes(task)?;
+                debug_assert!(is_canonical(task), "splitting requires a canonical task");
+            }
+            match plan_split(input, &delta, &lap) {
+                Ok(plan) => rewrite_in_place(&mut delta, &lap.vertex, plan),
+                Err(SplitError::Degenerate(x)) => {
                     steps.push(lap);
-                    return SplitOutcome {
-                        task: current,
-                        steps,
-                        degenerate: Some(x),
-                    };
+                    return Ok((delta, Some(x)));
                 }
+                Err(e) => return Err(e),
+            }
+            debug_assert!(
+                delta.validate_chromatic(input).is_ok(),
+                "splitting preserves carrier-map validity (Claim 1 / Lemma 4.1)"
+            );
+            if let Some(img) = delta.get(sigma) {
+                laps.split(&lap.vertex, img);
             }
             steps.push(lap);
         }
     }
-    debug_assert!(current.is_link_connected());
-    SplitOutcome {
-        task: current,
-        steps,
-        degenerate: None,
-    }
+    Ok((delta, None))
 }
 
 /// Transports a solvability witness across a split — the constructive
@@ -306,6 +461,29 @@ mod tests {
             .delta()
             .validate_chromatic(out.task.input())
             .expect("Δ' is a valid carrier map");
+    }
+
+    #[test]
+    fn a_lap_missing_a_residual_vertex_is_an_error() {
+        // A hand-built LAP whose second component lost a vertex: the
+        // single-copy rule has no copy for that residual vertex.
+        let t = canonicalize(&hourglass());
+        let mut lap = laps(&t)
+            .into_iter()
+            .next()
+            .expect("the hourglass has a LAP");
+        let missing = lap.components[1]
+            .pop_first()
+            .expect("components are non-empty");
+        match split_once(&t, &lap) {
+            Err(SplitError::ResidualOutsideLink { vertex, .. }) => assert_eq!(vertex, missing),
+            other => panic!("expected a residual-outside-link error, got {other:?}"),
+        }
+        lap.components.truncate(1);
+        assert!(matches!(
+            split_once(&t, &lap),
+            Err(SplitError::NotArticulated(_))
+        ));
     }
 
     #[test]

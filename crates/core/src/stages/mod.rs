@@ -204,12 +204,13 @@ fn timed<A>(
 }
 
 fn split_summary(split: &SplitOutcome) -> (String, u64) {
-    let detail = match &split.degenerate {
-        Some(x) => format!(
+    let detail = match (&split.error, &split.degenerate) {
+        (Some(e), _) => format!("{} split step(s); stopped: {e}", split.steps.len()),
+        (None, Some(x)) => format!(
             "{} split step(s); degenerate at input vertex {x}",
             split.steps.len()
         ),
-        None => format!(
+        (None, None) => format!(
             "{} split step(s); O' = {} facet(s)",
             split.steps.len(),
             split.task.output().facet_count()
@@ -362,6 +363,17 @@ fn decide_staged(
             false,
         );
     }
+    if let Some(e) = &split.error {
+        // A broken precondition or invariant of the split decides
+        // nothing; it is not memoized.
+        return (
+            Verdict::Unknown {
+                reason: format!("splitting failed: {e}"),
+            },
+            "split",
+            false,
+        );
+    }
     if let Some(x) = &split.degenerate {
         return (
             Verdict::Unsolvable {
@@ -489,6 +501,7 @@ pub(crate) fn run_engine(
                 task: canonical.clone(),
                 steps: Vec::new(),
                 degenerate: None,
+                error: None,
             },
             |_| {
                 let detail = format!(
@@ -572,6 +585,32 @@ mod tests {
         let mut c = a.clone();
         c.decided_by = "explore";
         assert_ne!(a.deterministic_digest(), c.deterministic_digest());
+    }
+
+    #[test]
+    fn a_failed_split_decides_unknown_and_is_not_memoized() {
+        let task = chromata_task::library::hourglass();
+        let split = SplitOutcome {
+            task: task.clone(),
+            steps: Vec::new(),
+            degenerate: None,
+            error: Some(crate::splitting::SplitError::NotThreeProcess(2)),
+        };
+        let mut chain = EvidenceChain::new();
+        let (verdict, decided_by, cacheable) = decide_staged(
+            &split,
+            PipelineOptions::default(),
+            &Budget::unlimited(),
+            &CancelToken::new(),
+            &mut chain,
+        );
+        assert!(
+            matches!(&verdict, Verdict::Unknown { reason } if reason.contains("three processes")),
+            "{verdict}"
+        );
+        assert_eq!(decided_by, "split");
+        assert!(!cacheable);
+        assert!(chain.stages.is_empty(), "no decision tier ran");
     }
 
     #[test]

@@ -115,6 +115,13 @@ impl CarrierMap {
         self.map.insert(s, image)
     }
 
+    /// Mutable access to the image subcomplex of `s`, if assigned; a
+    /// shared image is copied first, so other maps holding it are
+    /// unaffected.
+    pub fn image_mut(&mut self, s: &Simplex) -> Option<&mut Complex> {
+        self.map.get_mut(s).map(Arc::make_mut)
+    }
+
     /// The image subcomplex of `s`, if assigned.
     #[must_use]
     pub fn get(&self, s: &Simplex) -> Option<&Complex> {

@@ -165,4 +165,75 @@ proptest! {
         let back: Complex = serde_json::from_str(&json).expect("deserialize");
         prop_assert_eq!(back, k);
     }
+
+    #[test]
+    fn disconnected_links_match_the_link_definition(
+        triples in triangles_strategy(),
+        pairs in proptest::collection::vec((0i64..5, 0i64..5), 0..4),
+    ) {
+        // Loose edges make the complex impure, so links mix dimensions.
+        let mut k = build(&triples);
+        for (a, b) in pairs {
+            k.add_simplex(Simplex::from_iter([Vertex::of(0, a), Vertex::of(1, b)]));
+        }
+        let by_link: Vec<Vertex> = k
+            .vertices()
+            .filter(|v| {
+                let lk = k.link(v);
+                !lk.is_empty() && !lk.is_connected()
+            })
+            .cloned()
+            .collect();
+        prop_assert_eq!(k.disconnected_link_vertices(), by_link);
+    }
+
+    #[test]
+    fn substitute_in_star_matches_a_rebuild(
+        triples in triangles_strategy(),
+        pairs in proptest::collection::vec((0i64..5, 0i64..5), 0..4),
+        pick in 0usize..64,
+        copies in proptest::collection::vec(0u8..8, 24),
+    ) {
+        let mut k = build(&triples);
+        for (a, b) in pairs {
+            k.add_simplex(Simplex::from_iter([Vertex::of(0, a), Vertex::of(1, b)]));
+        }
+        let vertices: Vec<Vertex> = k.vertices().cloned().collect();
+        let v = vertices[pick % vertices.len()].clone();
+        let color = v.color().index();
+        // Facet i of the star goes to no copy, one or two fresh copies,
+        // back to `v` itself, or to a vertex the complex may already have.
+        let star: Vec<Simplex> = k.facets().filter(|m| m.contains(&v)).cloned().collect();
+        let choice = |m: &Simplex| {
+            let i = star.iter().position(|s| s == m).expect("a star facet");
+            match copies[i % copies.len()] {
+                0 => vec![],
+                1 => vec![Vertex::of(color, 10)],
+                2 => vec![Vertex::of(color, 10), Vertex::of(color, 11)],
+                3 => vec![v.clone()],
+                k => vec![Vertex::of(color, i64::from(k) + i as i64)],
+            }
+        };
+        // The specification: everything without `v`, plus the rewritten
+        // star facets, closed under faces.
+        let expected = Complex::from_facets(
+            k.simplices()
+                .filter(|s| !s.contains(&v))
+                .cloned()
+                .chain(star.iter().flat_map(|m| {
+                    choice(m).into_iter().map(|w| m.substituted(&v, w)).collect::<Vec<_>>()
+                })),
+        );
+        let mut rewritten = k.clone();
+        rewritten.substitute_in_star(&v, choice);
+        prop_assert_eq!(
+            rewritten.simplices().collect::<Vec<_>>(),
+            expected.simplices().collect::<Vec<_>>()
+        );
+        prop_assert_eq!(
+            rewritten.facets().collect::<Vec<_>>(),
+            expected.facets().collect::<Vec<_>>()
+        );
+        prop_assert_eq!(rewritten.dimension(), expected.dimension());
+    }
 }

@@ -5,7 +5,7 @@
 //! cargo run --release --example splitting_gallery
 //! ```
 
-use chromata::{first_lap_of_facet, laps, split_once};
+use chromata::{first_lap_of_facet, laps, split_once, SplitError};
 use chromata_task::{canonicalize, library, Task};
 
 fn main() {
@@ -42,8 +42,12 @@ fn gallery(task: &Task) {
                         &format!("{} ({})", lap.vertex, lap.component_count()),
                     );
                 }
-                Err(x) => {
+                Err(SplitError::Degenerate(x)) => {
                     println!("  degenerate at {x}: task unsolvable outright");
+                    return;
+                }
+                Err(e) => {
+                    println!("  split failed: {e}");
                     return;
                 }
             }
